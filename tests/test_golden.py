@@ -1,0 +1,136 @@
+"""Byte-for-byte comparison of CLI output against checked-in goldens.
+
+Covers the `tune` report and annotated source of every tuning fixture at
+seeds 1-3 (default GA) and of stress75 at seed 1 with 5 generations, the
+three reports that stop before emission (gate reject, no offloadable loops,
+no valid genome evaluated), and the stdout of `gate`, `check` and
+`plan-transfers` on mix10.
+
+Each command runs from inside its input directory with relative paths, so
+the config.source, config.profile and config.evaluator fields of a report
+are the same on every machine.  After an intended output change, rewrite
+the goldens from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from acctuner.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "outputs"
+TUNE_FIXTURES = ("siblings3", "nested3", "synergy5", "deep3", "mix10")
+
+NEST = ("int main(){int i; int j; float m[10][10]; float b[10][10];\n"
+        "for(i=0;i<10;i++){ for(j=0;j<10;j++){ m[i][j] = b[i][j]; }}\n"
+        "m[0][0] = 1.0;\n"
+        "return 0;}\n")
+NEST_PROFILE = {"loops": [
+    {"id": 0, "entry_count": 1, "total_iterations": 10_000_000},
+    {"id": 1, "entry_count": 10, "total_iterations": 10_000_000},
+]}
+NEST_MODEL = {
+    "loops": {"0": {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0},
+              "1": {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0}},
+    "vars": {"m": {"size_bytes": 400}, "b": {"size_bytes": 400}},
+    "transfer_fixed_us": 1.0, "transfer_us_per_kib": 1.0,
+}
+SERIAL = ("int main(){int i; float a[100];\n"
+          "for(i=1;i<100;i++){ a[i] = a[i-1] + 1.0; }\n"
+          "return 0;}\n")
+SERIAL_PROFILE = {"loops": [{"id": 0, "entry_count": 1, "total_iterations": 20_000_000}]}
+
+
+def _tune(stem: str, *extra: str) -> list[str]:
+    return ["tune", "--source", f"{stem}.c", "--profile", f"{stem}_profile.json",
+            "--evaluator", f"sim:{stem}_model.json", *extra,
+            "--out", "{out}/best.c", "--report", "{out}/report.json"]
+
+
+def _cases() -> dict[str, tuple]:
+    """name -> (input directory or None for written inputs, argv, exit code,
+    output files compared besides stdout)"""
+    tune_files = ("best.c", "report.json")
+    cases = {}
+    for stem in TUNE_FIXTURES:
+        # synergy5's busiest loop runs 5M iterations, under the default gate
+        gate = ["--gate-threshold", "5000000"] if stem == "synergy5" else []
+        for seed in (1, 2, 3):
+            cases[f"tune_{stem}_seed{seed}"] = (
+                FIXTURES / "tune", _tune(stem, "--seed", str(seed), *gate), 0, tune_files)
+    cases["tune_stress75_seed1_gens5"] = (
+        FIXTURES / "stress", _tune("stress75", "--seed", "1", "--gens", "5"), 0, tune_files)
+    cases["tune_mix10_gate_reject"] = (
+        FIXTURES / "tune", _tune("mix10", "--gate-threshold", "999999999999"), 12,
+        ("report.json",))
+    cases["tune_serial_no_offloadable"] = (
+        None, _tune("serial"), 13, ("report.json",))
+    cases["tune_nest_no_valid_genome"] = (
+        None, _tune("nest", "--gens", "1", "--seed", "4"), 13, ("report.json",))
+    for command, extra in (("gate", ["--profile", "mix10_profile.json"]),
+                           ("check", []),
+                           ("plan-transfers", ["--genome", "1011001110"])):
+        cases[f"{command}_mix10"] = (
+            FIXTURES / "tune", [command, "--source", "mix10.c", *extra], 0, ())
+    return cases
+
+
+CASES = _cases()
+
+
+def _write_inputs(directory: Path):
+    for stem, source, profile in (("nest", NEST, NEST_PROFILE),
+                                  ("serial", SERIAL, SERIAL_PROFILE)):
+        (directory / f"{stem}.c").write_text(source)
+        (directory / f"{stem}_profile.json").write_text(json.dumps(profile))
+    (directory / "nest_model.json").write_text(json.dumps(NEST_MODEL))
+    (directory / "serial_model.json").write_text(json.dumps(NEST_MODEL))
+
+
+def run_case(name: str, scratch: Path) -> dict[str, bytes]:
+    """Run one case in `scratch` and return its outputs by golden file name."""
+    directory, argv, expected_code, files = CASES[name]
+    out = scratch / "out"
+    out.mkdir()
+    if directory is None:
+        directory = scratch
+        _write_inputs(directory)
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = main([arg.format(out=out) for arg in argv])
+    finally:
+        os.chdir(cwd)
+    assert code == expected_code, f"{name}: exit {code}, expected {expected_code}"
+    outputs = {f"{name}.stdout": stdout.getvalue().encode()}
+    for file in files:
+        outputs[f"{name}.{file}"] = (out / file).read_bytes()
+    return outputs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    for file, data in run_case(name, tmp_path).items():
+        assert data == (GOLDEN / file).read_bytes(), f"{file} differs from its golden"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as scratch:
+            for file, data in run_case(case, Path(scratch)).items():
+                (GOLDEN / file).write_bytes(data)
+                print(f"wrote {GOLDEN / file}", file=sys.stderr)
