@@ -43,9 +43,6 @@ for directive in plan.directives:
     print(f"  {directive.clause}({','.join(directive.vars)}) "
           f"before loop {directive.target_loop} "
           f"(needed by region {directive.origin_region})")
-print("\nWhy each rule fired:")
-for note in plan.notes:
-    print(f"  {note}")
 
 profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 64_000)})
 hoisted = directive_exec_counts(plan, tree, profile)

@@ -25,7 +25,7 @@ baseline = evaluate("0" * len(genome_map)).seconds
 print(f"gene length a = {len(genome_map)}; all-CPU baseline = {baseline:.4f}s\n")
 
 config = at.GAConfig(population=30, generations=20, rng_seed=7)
-result = at.run_ga(config, genome_map, tree, evaluate, at.MeasurementCache())
+result = at.run_ga(config, genome_map, tree, evaluate)
 
 print("gen  best_seconds  best_fitness  evals  cache_hits")
 for stats in result.history:

@@ -5,12 +5,13 @@ patterns with a genetic algorithm, plans hoisted host/device data
 transfers, and emits OpenACC-style annotated source plus a search report.
 A deterministic simulated evaluator makes the whole search testable
 without a GPU.
+
+The top level exports the analysis, planning and search calls that the
+demos use; everything else is imported from its submodule
+(acctuner.pipeline, acctuner.evaluation, ...).
 """
 
 from .analysis import (
-    DEFAULT_GATE_THRESHOLD,
-    ExternalOracle,
-    GateDecision,
     GenomeMap,
     ParallelizabilityVerdict,
     Profile,
@@ -20,66 +21,12 @@ from .analysis import (
     gate,
     load_profile,
 )
-from .emitter import AnnotatedSource, emit_annotated, kernels_only_annotation, strip_annotations
-from .errors import (
-    AutotunerError,
-    DomainError,
-    EmptyGenome,
-    ExternalOracleError,
-    InvalidGenome,
-    ModelError,
-    ParseError,
-    PlanMismatch,
-    ProfileError,
-    SpawnError,
-)
-from .evaluation import (
-    CommandEvaluatorConfig,
-    CostModel,
-    LoopCost,
-    Measurement,
-    MeasurementCache,
-    cached_evaluate,
-    command_evaluate,
-    load_command_config,
-    load_cost_model,
-    simulate_time,
-)
-from .ga import (
-    EvaluatedIndividual,
-    GAConfig,
-    GenerationStats,
-    SearchResult,
-    fitness_from_time,
-    init_population,
-    mutate,
-    one_point_crossover,
-    run_ga,
-    select_next_parents,
-)
-from .loops import LoopNode, LoopTree, VarAccess, build_loop_tree, extract_accesses
+from .emitter import emit_annotated, strip_annotations
+from .evaluation import CostModel, load_cost_model, simulate_time
+from .ga import GAConfig, init_population, run_ga
+from .loops import LoopTree, build_loop_tree, extract_accesses
 from .parser import parse
-from .pipeline import (
-    EXIT_EVALUATOR_FAILURE,
-    EXIT_GATE_REJECT,
-    EXIT_NO_OFFLOADABLE_LOOPS,
-    EXIT_OK,
-    EXIT_PARSE_ERROR,
-    EXIT_PROFILE_ERROR,
-    PipelineConfig,
-    build_evaluator,
-    make_cmd_evaluator,
-    make_sim_evaluator,
-    run_pipeline,
-)
-from .transfer import (
-    DataDirective,
-    TransferPlan,
-    check_genome_valid,
-    directive_exec_counts,
-    plan_to_dict,
-    plan_transfers,
-    unhoisted,
-)
+from .pipeline import make_sim_evaluator
+from .transfer import check_genome_valid, plan_transfers
 
 __version__ = "0.1.0"

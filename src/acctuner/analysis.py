@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -216,6 +215,19 @@ class ExternalOracle:
         return ParallelizabilityVerdict(loop.loop_id, False, EXTERNAL_COMPILE_ERROR)
 
 
+def load_external_oracle(path: str | Path, program: Program,
+                         tree: LoopTree) -> ExternalOracle:
+    """Build the compile-probe oracle from {"compile_cmd": ..., "workdir": ...}."""
+    try:
+        data = json.loads(Path(path).read_text())
+        compile_cmd = data["compile_cmd"]
+        if not isinstance(compile_cmd, str) or not compile_cmd:
+            raise ValueError("compile_cmd must be a non-empty string")
+        return ExternalOracle(program, tree, compile_cmd, data.get("workdir"))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ExternalOracleError(f"cannot load oracle config {path}: {exc}") from exc
+
+
 def check_parallelizable(loop: LoopNode, tree: LoopTree,
                          accesses: list[VarAccess],
                          oracle: ExternalOracle | None = None,
@@ -228,16 +240,8 @@ def check_parallelizable(loop: LoopNode, tree: LoopTree,
 
 def check_all_parallelizable(tree: LoopTree, accesses: list[VarAccess],
                              oracle: ExternalOracle | None = None,
-                             workers: int = 1) -> list[ParallelizabilityVerdict]:
-    """Verdicts for every loop, ordered by loop_id.
-
-    External probes for distinct loops are independent and may run
-    concurrently; results are reassembled in loop_id order either way.
-    """
-    if oracle is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(lambda n: oracle.verdict(n), tree.nodes))
-        return sorted(verdicts, key=lambda v: v.loop_id)
+                             ) -> list[ParallelizabilityVerdict]:
+    """Verdicts for every loop, ordered by loop_id."""
     return [check_parallelizable(node, tree, accesses, oracle) for node in tree.nodes]
 
 
@@ -248,9 +252,6 @@ class GenomeMap:
 
     def __len__(self) -> int:
         return len(self.loop_ids)
-
-    def index_of(self, loop_id: int) -> int:
-        return self.loop_ids.index(loop_id)
 
 
 def build_genome_map(verdicts: list[ParallelizabilityVerdict]) -> GenomeMap:

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .analysis import (
     DEFAULT_GATE_THRESHOLD,
-    ExternalOracle,
     build_genome_map,
     check_all_parallelizable,
     gate,
+    load_external_oracle,
     load_profile,
 )
 from .emitter import emit_annotated
@@ -33,15 +32,13 @@ from .errors import (
     AutotunerError,
     EmptyGenome,
     ExternalOracleError,
-    InvalidGenome,
     ModelError,
     ParseError,
     ProfileError,
     SpawnError,
+    UsageError,
 )
 from .ga import GAConfig
-from .loops import build_loop_tree, extract_accesses
-from .parser import parse
 from .pipeline import (
     EXIT_EVALUATOR_FAILURE,
     EXIT_GATE_REJECT,
@@ -50,11 +47,19 @@ from .pipeline import (
     EXIT_PARSE_ERROR,
     EXIT_PROFILE_ERROR,
     PipelineConfig,
+    _write,
+    gate_dict,
+    load_program,
+    render_report,
     run_pipeline,
+    verdict_dicts,
 )
 from .transfer import plan_to_dict, plan_transfers
 
+EXIT_USAGE = 2  # argparse's own exit code for a bad command line
+
 _ERROR_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
     (ParseError, EXIT_PARSE_ERROR),
     (ProfileError, EXIT_PROFILE_ERROR),
     (EmptyGenome, EXIT_NO_OFFLOADABLE_LOOPS),
@@ -69,21 +74,15 @@ def _exit_code_for(exc: AutotunerError) -> int:
     return 1
 
 
-def _load_program(path: str):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read source: {exc}", 1, 1, path) from exc
-    program = parse(text, path)
-    return program, build_loop_tree(program), extract_accesses(program)
+def _emit(text: str, out: str | None):
+    if out:
+        _write(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit_json(data: dict, out: str | None):
-    text = json.dumps(data, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit(render_report(data), out)
 
 
 def _add_source(p: argparse.ArgumentParser):
@@ -150,7 +149,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args) -> int:
-    program, tree, accesses = _load_program(args.source)
+    program, tree, accesses = load_program(args.source)
     data = {
         "functions": [fn.name for fn in program.functions],
         "loops": [
@@ -183,35 +182,25 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_gate(args) -> int:
-    _, tree, _ = _load_program(args.source)
+    _, tree, _ = load_program(args.source)
     profile = load_profile(args.profile, tree)
     decision = gate(tree, profile, args.gate_threshold)
-    _emit_json({
-        "pass": decision.passed,
-        "max_total_iterations": decision.max_total_iterations,
-        "threshold": decision.threshold,
-        "loop_id": decision.loop_id,
-    }, args.out)
+    _emit_json(gate_dict(decision), args.out)
     return EXIT_OK if decision.passed else EXIT_GATE_REJECT
 
 
 def _cmd_check(args) -> int:
-    program, tree, accesses = _load_program(args.source)
+    program, tree, accesses = load_program(args.source)
     oracle = None
     if args.oracle != "builtin":
         if not args.oracle.startswith("cmd:"):
             raise ExternalOracleError(
                 f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
-        config = json.loads(Path(args.oracle[4:]).read_text())
-        oracle = ExternalOracle(program, tree, config["compile_cmd"],
-                                config.get("workdir"))
+        oracle = load_external_oracle(args.oracle[4:], program, tree)
     verdicts = check_all_parallelizable(tree, accesses, oracle)
     eligible = sorted(v.loop_id for v in verdicts if v.eligible)
     _emit_json({
-        "verdicts": [
-            {"loop_id": v.loop_id, "eligible": v.eligible, "reason": v.reason}
-            for v in verdicts
-        ],
+        "verdicts": verdict_dicts(verdicts),
         "genome_map": eligible,
         "gene_length": len(eligible),
     }, args.out)
@@ -219,7 +208,7 @@ def _cmd_check(args) -> int:
 
 
 def _genome_context(source: str):
-    program, tree, accesses = _load_program(source)
+    program, tree, accesses = load_program(source)
     verdicts = check_all_parallelizable(tree, accesses)
     genome_map = build_genome_map(verdicts)
     return program, tree, accesses, genome_map
@@ -236,24 +225,24 @@ def _cmd_emit(args) -> int:
     program, tree, accesses, genome_map = _genome_context(args.source)
     plan = plan_transfers(program, tree, accesses, args.genome, genome_map)
     annotated = emit_annotated(program, tree, args.genome, genome_map, plan)
-    if args.out:
-        Path(args.out).write_text(annotated.text)
-    else:
-        sys.stdout.write(annotated.text)
+    _emit(annotated.text, args.out)
     return EXIT_OK
 
 
 def _cmd_tune(args) -> int:
-    ga = GAConfig(
-        population=args.pop,
-        generations=args.gens,
-        crossover_rate=args.pc,
-        mutation_rate=args.pm,
-        timeout_seconds=args.timeout,
-        penalty_seconds=args.penalty,
-        rng_seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        ga = GAConfig(
+            population=args.pop,
+            generations=args.gens,
+            crossover_rate=args.pc,
+            mutation_rate=args.pm,
+            timeout_seconds=args.timeout,
+            penalty_seconds=args.penalty,
+            rng_seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     cfg = PipelineConfig(
         source=args.source,
         profile=args.profile,
@@ -282,10 +271,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InvalidGenome as exc:
-        sys.stderr.write(json.dumps({"error": {
-            "type": "InvalidGenome", "message": str(exc), "exit_code": 1}}) + "\n")
-        return 1
     except AutotunerError as exc:
         code = _exit_code_for(exc)
         sys.stderr.write(json.dumps({"error": {

@@ -46,3 +46,11 @@ class ExternalOracleError(AutotunerError):
 
 class DomainError(AutotunerError):
     """Fitness requested for a non-positive measured time."""
+
+
+class OutputError(AutotunerError):
+    """An output file (annotated source, report, JSON dump) cannot be written."""
+
+
+class UsageError(AutotunerError):
+    """A command-line option has a value outside its allowed range."""

@@ -3,15 +3,12 @@
 Two evaluators sit behind one interface: a deterministic cost-model
 simulator for desk-scale testing, and an external-command evaluator that
 really compiles and runs the annotated source under a wall-clock timeout.
-A thread-safe cache keyed by genome bitstring guarantees each genome is
-measured at most once.
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,14 +142,17 @@ class CommandEvaluatorConfig:
             raise ValueError("compile_cmd and run_cmd must be non-empty")
 
 
-def load_command_config(path: str | Path) -> CommandEvaluatorConfig:
+def load_command_config(path: str | Path, timeout_seconds: float,
+                        penalty_seconds: float) -> CommandEvaluatorConfig:
+    """Read compile_cmd, run_cmd and an optional workdir from the file; the
+    timeout and penalty are the GA's."""
     try:
         data = json.loads(Path(path).read_text())
         return CommandEvaluatorConfig(
             compile_cmd=data["compile_cmd"],
             run_cmd=data["run_cmd"],
-            timeout_seconds=float(data.get("timeout_seconds", DEFAULT_TIMEOUT_SECONDS)),
-            penalty_seconds=float(data.get("penalty_seconds", DEFAULT_PENALTY_SECONDS)),
+            timeout_seconds=timeout_seconds,
+            penalty_seconds=penalty_seconds,
             workdir=data.get("workdir"),
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -195,64 +195,3 @@ def command_evaluate(config: CommandEvaluatorConfig,
         return Measurement(config.penalty_seconds, TIMEOUT)
     return Measurement(elapsed, MEASURED)
 
-
-class MeasurementCache:
-    """Genome-bitstring -> Measurement memo with insert-once semantics.
-
-    Safe under concurrent lookup/insert: when several threads race on one
-    genome, exactly one computes and the rest wait for its result.  Errors
-    are never cached; a waiter retries the computation itself.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._done: dict[str, Measurement] = {}
-        self._inflight: dict[str, threading.Event] = {}
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._done
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._done)
-
-    def get(self, key: str) -> Measurement | None:
-        with self._lock:
-            return self._done.get(key)
-
-    def put(self, key: str, measurement: Measurement):
-        with self._lock:
-            self._done.setdefault(key, measurement)
-
-    def get_or_compute(self, key: str, compute) -> tuple[Measurement, bool]:
-        """Return (measurement, served_from_cache)."""
-        while True:
-            with self._lock:
-                if key in self._done:
-                    return self._done[key], True
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    break
-            event.wait()
-        try:
-            measurement = compute()
-        except BaseException:
-            with self._lock:
-                del self._inflight[key]
-            event.set()
-            raise
-        with self._lock:
-            self._done[key] = measurement
-            del self._inflight[key]
-        event.set()
-        return measurement, False
-
-
-def cached_evaluate(cache: MeasurementCache, genome_bits: str, inner) -> Measurement:
-    """Evaluate through the dedup cache: a repeated genome reuses the stored
-    measurement without invoking the inner evaluator again."""
-    measurement, _ = cache.get_or_compute(genome_bits, lambda: inner(genome_bits))
-    return measurement

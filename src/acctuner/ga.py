@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
-from .evaluation import INVALID, MEASURED, MeasurementCache, TIMEOUT
+from .evaluation import INVALID, MEASURED, TIMEOUT, Measurement
 from .loops import LoopTree
 from .transfer import check_genome_valid
 
@@ -55,6 +55,8 @@ class GAConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.penalty_seconds <= 0 or self.timeout_seconds <= 0:
             raise ValueError("timeout and penalty must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,8 @@ def _better_best(current: EvaluatedIndividual | None,
     return candidate if candidate.seconds < current.seconds else current
 
 
-def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree, evaluate,
-           cache: MeasurementCache | None = None) -> SearchResult:
+def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
+           evaluate) -> SearchResult:
     """Run the full generation loop and return the best individual ever seen
     plus the per-generation history.
 
@@ -183,7 +185,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree, evaluate,
         raise EmptyGenome("no offloadable loops")
     size = min(config.population, max(2, gene_length))
     rng = random.Random(config.rng_seed)
-    cache = cache if cache is not None else MeasurementCache()
+    measured: dict[str, Measurement] = {}   # the dedup cache
 
     population = init_population(size, gene_length, rng)
     validity: dict[str, bool] = {}
@@ -201,22 +203,16 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree, evaluate,
     for generation in range(1, config.generations + 1):
         # measure the distinct valid genomes this generation adds, then
         # score every individual from the cache
-        fresh: list[str] = []
-        seen: set[str] = set()
-        for bits in population:
-            if is_valid(bits) and bits not in seen and bits not in cache:
-                seen.add(bits)
-                fresh.append(bits)
+        fresh = list(dict.fromkeys(
+            bits for bits in population if is_valid(bits) and bits not in measured))
         if config.workers > 1 and len(fresh) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                measurements = list(pool.map(evaluate, fresh))
+                new = dict(zip(fresh, pool.map(evaluate, fresh)))
         else:
-            measurements = [evaluate(bits) for bits in fresh]
-        for bits, measurement in zip(fresh, measurements):
-            cache.put(bits, measurement)
-        evaluations += len(fresh)
+            new = {bits: evaluate(bits) for bits in fresh}
+        measured.update(new)
+        evaluations += len(new)
 
-        claimed: set[str] = set()
         evaluated: list[EvaluatedIndividual] = []
         for bits in population:
             if not is_valid(bits):
@@ -227,11 +223,13 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree, evaluate,
                 evaluated.append(EvaluatedIndividual(
                     bits, config.penalty_seconds, fitness, INVALID))
                 continue
-            measurement = cache.get(bits)
-            if bits in seen and bits not in claimed:
-                claimed.add(bits)
+            # the first copy of a genome measured this generation carries its
+            # status; every other copy is a cache hit
+            measurement = new.pop(bits, None)
+            if measurement is not None:
                 status = measurement.status
             else:
+                measurement = measured[bits]
                 status = CACHE_HIT
                 hits += 1
             fitness = fitness_from_time(

@@ -82,14 +82,6 @@ class LoopTree:
             stack.extend(reversed(self.nodes[lid].children))
         return tuple(out)
 
-    def signature(self) -> tuple:
-        """Structural identity: stable under line-shifting edits such as
-        pragma insertion."""
-        return tuple(
-            (n.loop_id, n.kind, n.parent, n.function, n.canonical)
-            for n in self.nodes
-        )
-
 
 @dataclass(frozen=True)
 class VarAccess:

@@ -24,12 +24,12 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated
-from .errors import EmptyGenome, ModelError, ParseError
+from .errors import EmptyGenome, ModelError, OutputError, ParseError
 from .evaluation import (
+    INVALID,
     CommandEvaluatorConfig,
     CostModel,
     Measurement,
-    MeasurementCache,
     command_evaluate,
     load_command_config,
     load_cost_model,
@@ -61,14 +61,17 @@ class PipelineConfig:
 
 def _write(path: str | None, text: str):
     if path is not None:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as exc:
+            raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def render_report(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _gate_dict(decision: GateDecision) -> dict:
+def gate_dict(decision: GateDecision) -> dict:
     return {
         "pass": decision.passed,
         "max_total_iterations": decision.max_total_iterations,
@@ -77,13 +80,13 @@ def _gate_dict(decision: GateDecision) -> dict:
     }
 
 
-def _verdict_dicts(verdicts: list[ParallelizabilityVerdict]) -> list[dict]:
+def verdict_dicts(verdicts: list[ParallelizabilityVerdict]) -> list[dict]:
     return [{"loop_id": v.loop_id, "eligible": v.eligible, "reason": v.reason}
             for v in verdicts]
 
 
-def _config_dict(cfg: PipelineConfig, effective_population: int | None = None) -> dict:
-    out = {
+def _config_dict(cfg: PipelineConfig) -> dict:
+    return {
         "source": str(cfg.source),
         "profile": str(cfg.profile),
         "evaluator": cfg.evaluator,
@@ -97,9 +100,6 @@ def _config_dict(cfg: PipelineConfig, effective_population: int | None = None) -
         "fitness_exponent": cfg.ga.fitness_exponent,
         "gate_threshold": cfg.gate_threshold,
     }
-    if effective_population is not None:
-        out["effective_population"] = effective_population
-    return out
 
 
 def _search_dicts(result: SearchResult) -> tuple[list[dict], dict]:
@@ -123,6 +123,16 @@ def _search_dicts(result: SearchResult) -> tuple[list[dict], dict]:
     return generations, best
 
 
+def load_program(path: str):
+    """Parse a source file; returns (program, loop tree, accesses)."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read source: {exc}", 1, 1, str(path)) from exc
+    program = parse(text, str(path))
+    return program, build_loop_tree(program), extract_accesses(program)
+
+
 def make_sim_evaluator(model: CostModel, program, tree: LoopTree, accesses,
                        genome_map: GenomeMap, profile: Profile):
     """Evaluator closure: plan transfers for the genome, then price it with
@@ -136,15 +146,19 @@ def make_sim_evaluator(model: CostModel, program, tree: LoopTree, accesses,
 def make_cmd_evaluator(config: CommandEvaluatorConfig, program, tree: LoopTree,
                        accesses, genome_map: GenomeMap):
     """Evaluator closure: write the annotated source for the genome into the
-    working directory, then compile and run it."""
+    working directory, compile and run it, then remove the trial files."""
     workdir = Path(config.workdir) if config.workdir else Path.cwd()
 
     def evaluate(bits: str) -> Measurement:
         plan = plan_transfers(program, tree, accesses, bits, genome_map)
         annotated = emit_annotated(program, tree, bits, genome_map, plan)
         src_path = workdir / f"trial_{bits}.c"
-        src_path.write_text(annotated.text)
-        return command_evaluate(config, src_path)
+        try:
+            src_path.write_text(annotated.text)
+            return command_evaluate(config, src_path)
+        finally:
+            src_path.unlink(missing_ok=True)
+            src_path.with_suffix(".bin").unlink(missing_ok=True)
     return evaluate
 
 
@@ -155,12 +169,44 @@ def build_evaluator(spec: str, program, tree: LoopTree, accesses,
         model = load_cost_model(spec[4:])
         return make_sim_evaluator(model, program, tree, accesses, genome_map, profile)
     if spec.startswith("cmd:"):
-        config = load_command_config(spec[4:])
-        # the GA flags are the single source of truth for these two knobs
-        config.timeout_seconds = ga.timeout_seconds
-        config.penalty_seconds = ga.penalty_seconds
+        config = load_command_config(spec[4:], ga.timeout_seconds, ga.penalty_seconds)
         return make_cmd_evaluator(config, program, tree, accesses, genome_map)
     raise ModelError(f"evaluator spec {spec!r} must start with 'sim:' or 'cmd:'")
+
+
+def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
+    """Run the stages in order, adding each one's section to the report, up
+    to the first that ends the run; returns (exit code, result)."""
+    program, tree, accesses = load_program(cfg.source)
+    profile = load_profile(cfg.profile, tree)
+
+    decision = gate(tree, profile, cfg.gate_threshold)
+    report["gate"] = gate_dict(decision)
+    if not decision.passed:
+        return EXIT_GATE_REJECT, "gate-reject"
+
+    verdicts = check_all_parallelizable(tree, accesses)
+    report["verdicts"] = verdict_dicts(verdicts)
+    try:
+        genome_map = build_genome_map(verdicts)
+    except EmptyGenome:
+        return EXIT_NO_OFFLOADABLE_LOOPS, "no-offloadable-loops"
+
+    evaluate = build_evaluator(cfg.evaluator, program, tree, accesses,
+                               genome_map, profile, cfg.ga)
+    result = run_ga(cfg.ga, genome_map, tree, evaluate)
+    report["config"]["effective_population"] = result.effective_population
+    report["genome_map"] = list(genome_map.loop_ids)
+    report["generations"], report["best"] = _search_dicts(result)
+    if result.best.status == INVALID:
+        # degenerate corner: every individual of every generation was an
+        # invalid nesting, so there is no code worth emitting
+        return EXIT_NO_OFFLOADABLE_LOOPS, "no-valid-genome-evaluated"
+
+    best_plan = plan_transfers(program, tree, accesses, result.best.genome, genome_map)
+    annotated = emit_annotated(program, tree, result.best.genome, genome_map, best_plan)
+    _write(cfg.out, annotated.text)
+    return EXIT_OK, "ok"
 
 
 def run_pipeline(cfg: PipelineConfig) -> tuple[int, dict]:
@@ -171,72 +217,7 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[int, dict]:
     as unparseable input or a broken evaluator leave no partial report and
     surface through their exception, mapped to an exit code by the CLI.
     """
-    try:
-        source_text = Path(cfg.source).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read source: {exc}", 1, 1, str(cfg.source)) from exc
-    program = parse(source_text, str(cfg.source))
-    tree = build_loop_tree(program)
-    accesses = extract_accesses(program)
-
-    profile = load_profile(cfg.profile, tree)
-
-    decision = gate(tree, profile, cfg.gate_threshold)
-    if not decision.passed:
-        report = {
-            "config": _config_dict(cfg),
-            "gate": _gate_dict(decision),
-            "result": "gate-reject",
-        }
-        _write(cfg.report, render_report(report))
-        return EXIT_GATE_REJECT, report
-
-    verdicts = check_all_parallelizable(tree, accesses)
-    try:
-        genome_map = build_genome_map(verdicts)
-    except EmptyGenome:
-        report = {
-            "config": _config_dict(cfg),
-            "gate": _gate_dict(decision),
-            "verdicts": _verdict_dicts(verdicts),
-            "result": "no-offloadable-loops",
-        }
-        _write(cfg.report, render_report(report))
-        return EXIT_NO_OFFLOADABLE_LOOPS, report
-
-    evaluate = build_evaluator(cfg.evaluator, program, tree, accesses,
-                               genome_map, profile, cfg.ga)
-    result = run_ga(cfg.ga, genome_map, tree, evaluate, MeasurementCache())
-
-    if result.best.status == "invalid":
-        # degenerate corner: every individual of every generation was an
-        # invalid nesting, so there is no code worth emitting
-        generations, best = _search_dicts(result)
-        report = {
-            "config": _config_dict(cfg, result.effective_population),
-            "gate": _gate_dict(decision),
-            "verdicts": _verdict_dicts(verdicts),
-            "genome_map": list(genome_map.loop_ids),
-            "generations": generations,
-            "best": best,
-            "result": "no-valid-genome-evaluated",
-        }
-        _write(cfg.report, render_report(report))
-        return EXIT_NO_OFFLOADABLE_LOOPS, report
-
-    best_plan = plan_transfers(program, tree, accesses, result.best.genome, genome_map)
-    annotated = emit_annotated(program, tree, result.best.genome, genome_map, best_plan)
-    _write(cfg.out, annotated.text)
-
-    generations, best = _search_dicts(result)
-    report = {
-        "config": _config_dict(cfg, result.effective_population),
-        "gate": _gate_dict(decision),
-        "verdicts": _verdict_dicts(verdicts),
-        "genome_map": list(genome_map.loop_ids),
-        "generations": generations,
-        "best": best,
-        "result": "ok",
-    }
+    report = {"config": _config_dict(cfg)}
+    code, report["result"] = _run_stages(cfg, report)
     _write(cfg.report, render_report(report))
-    return EXIT_OK, report
+    return code, report

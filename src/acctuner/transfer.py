@@ -46,7 +46,6 @@ class DataDirective:
 @dataclass(frozen=True)
 class TransferPlan:
     directives: tuple[DataDirective, ...]
-    notes: tuple[str, ...]      # which rule fired, per variable and region
 
 
 def selected_loops(genome_bits: str, genome_map: GenomeMap) -> set[int]:
@@ -58,13 +57,13 @@ def selected_loops(genome_bits: str, genome_map: GenomeMap) -> set[int]:
     return {genome_map.loop_ids[k] for k, bit in enumerate(genome_bits) if bit == "1"}
 
 
+def _nested(chosen: set[int], tree: LoopTree) -> bool:
+    return any(chosen.intersection(tree.ancestors(loop_id)) for loop_id in chosen)
+
+
 def check_genome_valid(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> bool:
     """A genome is invalid when two selected loops nest inside each other."""
-    chosen = selected_loops(genome_bits, genome_map)
-    for loop_id in chosen:
-        if chosen.intersection(tree.ancestors(loop_id)):
-            return False
-    return True
+    return not _nested(selected_loops(genome_bits, genome_map), tree)
 
 
 def _hoist_target(tree: LoopTree, region: int, cpu_accesses: list[VarAccess],
@@ -87,14 +86,12 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     variable), so identical inputs always produce identical plans.
     """
     chosen = selected_loops(genome_bits, genome_map)
-    for loop_id in chosen:
-        if chosen.intersection(tree.ancestors(loop_id)):
-            raise InvalidGenome(
-                f"nested selected loops: {sorted(chosen)} contains an ancestor pair")
+    if _nested(chosen, tree):
+        raise InvalidGenome(
+            f"nested selected loops: {sorted(chosen)} contains an ancestor pair")
 
     # (origin, clause, target) -> set of vars
     grouped: dict[tuple[int, str, int], set[str]] = {}
-    notes: list[str] = []
 
     # per-function access lists and the genome's CPU side, computed once
     by_function: dict[str, list[VarAccess]] = {}
@@ -139,23 +136,17 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
                 inner = max((target_in, target_out),
                             key=lambda lid: len(tree.ancestors(lid)))
                 grouped.setdefault((region, COPY, inner), set()).add(var)
-                notes.append(f"{var}@region{region}: copyin+copyout merged to "
-                             f"copy at loop {inner}")
             elif need_in:
                 grouped.setdefault((region, COPYIN, target_in), set()).add(var)
-                notes.append(f"{var}@region{region}: cpu-written, gpu-read -> "
-                             f"copyin at loop {target_in}")
             else:
                 grouped.setdefault((region, COPYOUT, target_out), set()).add(var)
-                notes.append(f"{var}@region{region}: gpu-written, cpu-visible -> "
-                             f"copyout at loop {target_out}")
 
     directives = [
         DataDirective(target, clause, tuple(sorted(vars_)), origin)
         for (origin, clause, target), vars_ in grouped.items()
     ]
     directives.sort(key=lambda d: (d.target_loop, d.clause, d.vars[0]))
-    return TransferPlan(tuple(directives), tuple(notes))
+    return TransferPlan(tuple(directives))
 
 
 def directive_exec_counts(plan: TransferPlan, tree: LoopTree,
@@ -172,7 +163,7 @@ def unhoisted(plan: TransferPlan) -> TransferPlan:
         DataDirective(d.origin_region, d.clause, d.vars, d.origin_region)
         for d in plan.directives
     )
-    return TransferPlan(directives, plan.notes)
+    return TransferPlan(directives)
 
 
 def plan_to_dict(plan: TransferPlan) -> dict:

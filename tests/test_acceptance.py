@@ -18,7 +18,6 @@ from acctuner.evaluation import (
     CostModel,
     LoopCost,
     Measurement,
-    MeasurementCache,
     command_evaluate,
 )
 from acctuner.ga import GAConfig, fitness_from_time, run_ga
@@ -68,7 +67,7 @@ def search_runs():
 
             config = GAConfig(population=30, generations=20, rng_seed=seed)
             results[seed] = run_ga(config, fixture.genome_map, fixture.tree,
-                                   counting, MeasurementCache())
+                                   counting)
             call_log[seed] = calls
         runs[name] = SearchRun(fixture, optimum, results, call_log, 0.0)
     wall = time.time() - started
@@ -298,7 +297,7 @@ def test_criterion_11_invalid_genome_penalty_without_eval():
         return Measurement(1.0, "measured")
 
     config = GAConfig(population=2, generations=1, rng_seed=4)
-    result = run_ga(config, genome_map, tree, evaluate, MeasurementCache())
+    result = run_ga(config, genome_map, tree, evaluate)
     assert calls == []                            # zero evaluator calls
     assert result.evaluations_performed == 0
     assert result.best.status == "invalid"
@@ -332,8 +331,7 @@ def test_criterion_13_darknet_scale_stress():
     improved = 0
     for seed in SEEDS:
         config = GAConfig(population=30, generations=20, rng_seed=seed)
-        result = run_ga(config, fixture.genome_map, fixture.tree, evaluate,
-                        MeasurementCache())
+        result = run_ga(config, fixture.genome_map, fixture.tree, evaluate)
         if result.best.seconds * 2.0 <= baseline:
             improved += 1
     elapsed = time.time() - started

@@ -260,10 +260,3 @@ def test_external_oracle_trial_inserts_exactly_one_line():
         assert len(annotated) == len(original) + 1
         extra = [line for line in annotated if line not in original]
         assert len(extra) == 1 and extra[0].lstrip() == "#pragma acc kernels"
-
-
-def test_external_oracle_results_ordered_with_workers(tmp_path):
-    program, tree, accesses = analyze(TWO_LOOPS)
-    oracle = ExternalOracle(program, tree, "true '{src}'", workdir=tmp_path)
-    verdicts = check_all_parallelizable(tree, accesses, oracle, workers=2)
-    assert [v.loop_id for v in verdicts] == [0, 1]

@@ -196,7 +196,7 @@ def test_tune_with_command_evaluator(workdir):
     assert code == EXIT_OK
     report = json.loads((workdir / "report.json").read_text())
     assert report["best"]["status"] in ("measured", "cachehit")
-    assert list(workdir.glob("trial_*.c"))
+    assert not list(workdir.glob("trial_*"))
 
 
 def test_run_pipeline_api_matches_cli(workdir):
@@ -249,3 +249,46 @@ def test_tune_survives_all_invalid_search(workdir):
     assert report["result"] == "no-valid-genome-evaluated"
     assert report["best"]["status"] == "invalid"
     assert not (workdir / "annotated.c").exists()
+
+
+def error_of(capsys) -> dict:
+    return json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}'])
+def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
+    path = workdir / "oracle.json"
+    if config is not None:
+        path.write_text(config)
+    code = main(["check", "--source", str(workdir / "deep3.c"),
+                 "--oracle", f"cmd:{path}"])
+    assert code == EXIT_EVALUATOR_FAILURE
+    error = error_of(capsys)
+    assert error["type"] == "ExternalOracleError"
+    assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+
+
+@pytest.mark.parametrize("flag,value", [("--pop", "1"), ("--workers", "0")])
+def test_tune_bad_ga_option_is_usage_error(workdir, capsys, flag, value):
+    code = main(tune_args(workdir, **{flag: value}))
+    assert code == 2
+    error = error_of(capsys)
+    assert error["type"] == "UsageError"
+    assert error["exit_code"] == 2
+    assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_tune_output_into_missing_directory(workdir, capsys, flag):
+    code = main(tune_args(workdir, **{flag: str(workdir / "absent" / "x")}))
+    assert code == 1
+    error = error_of(capsys)
+    assert error["type"] == "OutputError"
+    assert error["exit_code"] == 1
+
+
+def test_json_dump_into_missing_directory(workdir, capsys):
+    code = main(["analyze", "--source", str(workdir / "siblings3.c"),
+                 "--out", str(workdir / "absent" / "x.json")])
+    assert code == 1
+    assert error_of(capsys)["type"] == "OutputError"

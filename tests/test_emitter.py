@@ -64,7 +64,7 @@ def test_indentation_copied_from_target_line():
         "        for (i = 0; i < 4; i++) { i = i; }\n    }\n}\n"
     program, tree, accesses = analyze(text)
     gm = at.GenomeMap((0,))
-    annotated = emit_annotated(program, tree, "1", gm, TransferPlan((), ()))
+    annotated = emit_annotated(program, tree, "1", gm, TransferPlan(()))
     pragma_lines = [ins.content for ins in annotated.inserted_lines]
     assert pragma_lines == ["        #pragma acc kernels"]
 
@@ -74,14 +74,17 @@ def test_reparse_safety(stem):
     source, annotated = annotate(stem)
     original_tree = at.build_loop_tree(at.parse(source))
     reparsed_tree = at.build_loop_tree(at.parse(annotated.text))
-    assert reparsed_tree.signature() == original_tree.signature()
+    def shape(tree):
+        return [(n.loop_id, n.kind, n.parent, n.function, n.canonical)
+                for n in tree.nodes]
+    assert shape(reparsed_tree) == shape(original_tree)
 
 
 def test_plan_mismatch_detected():
     program, tree, accesses = analyze(
         "int main(){int i; float a[4]; for(i=0;i<4;i++){ a[i] = 1.0; }}")
     gm = at.GenomeMap((0,))
-    bogus = TransferPlan((DataDirective(7, "copyin", ("a",), 0),), ())
+    bogus = TransferPlan((DataDirective(7, "copyin", ("a",), 0),))
     with pytest.raises(PlanMismatch):
         emit_annotated(program, tree, "1", gm, bogus)
 
@@ -92,7 +95,7 @@ def test_invalid_genome_rejected():
     program, tree, accesses = analyze(text)
     gm = at.GenomeMap((0, 1))
     with pytest.raises(InvalidGenome):
-        emit_annotated(program, tree, "11", gm, TransferPlan((), ()))
+        emit_annotated(program, tree, "11", gm, TransferPlan(()))
 
 
 def test_kernels_only_probe_single_line_diff():
@@ -120,6 +123,6 @@ def test_source_without_trailing_newline():
             "return 0;}")
     program, tree, accesses = analyze(text)
     gm = at.GenomeMap((0,))
-    annotated = emit_annotated(program, tree, "1", gm, TransferPlan((), ()))
+    annotated = emit_annotated(program, tree, "1", gm, TransferPlan(()))
     assert strip_annotations(annotated) == text
     assert "#pragma acc kernels\n" in annotated.text

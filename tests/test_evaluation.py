@@ -1,17 +1,14 @@
 import json
-import threading
 
 import pytest
 
 from acctuner.analysis import GenomeMap, Profile, ProfileEntry
-from acctuner.errors import ModelError, SpawnError
+from acctuner.errors import ModelError
 from acctuner.evaluation import (
     CommandEvaluatorConfig,
     CostModel,
     LoopCost,
     Measurement,
-    MeasurementCache,
-    cached_evaluate,
     command_evaluate,
     load_cost_model,
     simulate_time,
@@ -28,7 +25,7 @@ def single_loop_setup():
     return tree, profile, GenomeMap((0,))
 
 
-EMPTY_PLAN = TransferPlan((), ())
+EMPTY_PLAN = TransferPlan(())
 
 
 def test_simulate_cpu_only():
@@ -41,7 +38,7 @@ def test_simulate_cpu_only():
 def test_simulate_offloaded_with_copy():
     tree, profile, gm = single_loop_setup()
     model = CostModel({0: LoopCost(1.0, 10.0, 100.0)}, {"a": 1024.0}, 10.0, 1.0)
-    plan = TransferPlan((DataDirective(0, "copy", ("a",), 0),), ())
+    plan = TransferPlan((DataDirective(0, "copy", ("a",), 0),))
     m = simulate_time(model, "1", gm, tree, profile, plan)
     assert m.seconds == pytest.approx(0.100111, abs=1e-12)
 
@@ -79,7 +76,7 @@ def test_simulate_missing_loop_entry():
 def test_simulate_missing_var_entry():
     tree, profile, gm = single_loop_setup()
     model = CostModel({0: LoopCost(1.0, 2.0, 0.0)}, {}, 0.0, 0.0)
-    plan = TransferPlan((DataDirective(0, "copyin", ("b",), 0),), ())
+    plan = TransferPlan((DataDirective(0, "copyin", ("b",), 0),))
     with pytest.raises(ModelError):
         simulate_time(model, "1", gm, tree, profile, plan)
 
@@ -87,7 +84,7 @@ def test_simulate_missing_var_entry():
 def test_simulate_purity():
     tree, profile, gm = single_loop_setup()
     model = CostModel({0: LoopCost(0.37, 7.0, 13.0)}, {"a": 12345.0}, 9.0, 0.3)
-    plan = TransferPlan((DataDirective(0, "copy", ("a",), 0),), ())
+    plan = TransferPlan((DataDirective(0, "copy", ("a",), 0),))
     results = {simulate_time(model, "1", gm, tree, profile, plan).seconds
                for _ in range(5)}
     assert len(results) == 1
@@ -101,7 +98,7 @@ def test_unhoisted_plan_never_faster():
     model = CostModel({0: LoopCost(0.0, 1.0, 0.0), 1: LoopCost(1.0, 2.0, 0.0)},
                       {"b": 2048.0}, 5.0, 1.0)
     gm = GenomeMap((0, 1))
-    plan = TransferPlan((DataDirective(0, "copyin", ("b",), 1),), ())
+    plan = TransferPlan((DataDirective(0, "copyin", ("b",), 1),))
     hoisted = simulate_time(model, "01", gm, tree, profile, plan)
     forced = simulate_time(model, "01", gm, tree, profile, unhoisted(plan))
     assert forced.seconds >= hoisted.seconds
@@ -183,74 +180,3 @@ def test_command_templates_receive_paths(tmp_path):
     assert m.status == "measured"
     assert (tmp_path / "t.bin").exists()
 
-
-# ---- dedup cache ----
-
-class CountingEvaluator:
-    def __init__(self, seconds=1.0):
-        self.calls = 0
-        self.seconds = seconds
-
-    def __call__(self, bits):
-        self.calls += 1
-        return Measurement(self.seconds, "measured")
-
-
-def test_cache_miss_then_hit():
-    cache = MeasurementCache()
-    inner = CountingEvaluator()
-    first = cached_evaluate(cache, "101", inner)
-    assert inner.calls == 1
-    second = cached_evaluate(cache, "101", inner)
-    assert inner.calls == 1
-    assert first == second
-
-
-def test_cache_distinct_keys_evaluate_separately():
-    cache = MeasurementCache()
-    inner = CountingEvaluator()
-    cached_evaluate(cache, "101", inner)
-    cached_evaluate(cache, "011", inner)
-    assert inner.calls == 2
-    assert len(cache) == 2
-
-
-def test_cache_errors_not_cached():
-    cache = MeasurementCache()
-    calls = []
-
-    def flaky(bits):
-        calls.append(bits)
-        if len(calls) == 1:
-            raise SpawnError("boom")
-        return Measurement(2.0, "measured")
-
-    with pytest.raises(SpawnError):
-        cached_evaluate(cache, "1", flaky)
-    assert cached_evaluate(cache, "1", flaky).seconds == 2.0
-    assert len(calls) == 2
-
-
-def test_cache_concurrent_single_flight():
-    cache = MeasurementCache()
-    calls = []
-    gate_event = threading.Event()
-
-    def slow(bits):
-        calls.append(bits)
-        gate_event.wait(1.0)
-        return Measurement(1.5, "measured")
-
-    results = []
-
-    def worker():
-        results.append(cached_evaluate(cache, "111", slow))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    gate_event.set()
-    for t in threads:
-        t.join()
-    assert len(calls) == 1
-    assert all(r == Measurement(1.5, "measured") for r in results)

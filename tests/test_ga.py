@@ -5,7 +5,7 @@ import pytest
 
 from acctuner.analysis import GenomeMap
 from acctuner.errors import DomainError, EmptyGenome, SpawnError
-from acctuner.evaluation import Measurement, MeasurementCache
+from acctuner.evaluation import Measurement
 from acctuner.ga import (
     EvaluatedIndividual,
     GAConfig,
@@ -282,7 +282,7 @@ def test_run_ga_elite_monotonicity(tune_fixtures):
         evaluate = fixture.evaluator()
         for seed in (1, 2):
             result = run_ga(GAConfig(rng_seed=seed), fixture.genome_map,
-                            fixture.tree, evaluate, MeasurementCache())
+                            fixture.tree, evaluate)
             best = [s.best_fitness for s in result.history]
             assert best == sorted(best)
             assert len(result.history) == 20
@@ -305,7 +305,7 @@ def test_run_ga_deterministic_and_worker_independent(tune_fixtures):
     for workers in (1, 1, 4):
         config = GAConfig(rng_seed=77, workers=workers)
         results.append(run_ga(config, fixture.genome_map, fixture.tree,
-                              fixture.evaluator(), MeasurementCache()))
+                              fixture.evaluator()))
     assert results[0] == results[1]
     assert results[0] == results[2]
 
@@ -336,3 +336,5 @@ def test_gaconfig_validation():
         GAConfig(crossover_rate=1.5)
     with pytest.raises(ValueError):
         GAConfig(mutation_rate=-0.1)
+    with pytest.raises(ValueError):
+        GAConfig(workers=0)
