@@ -3,8 +3,13 @@
 Covers the `tune` report and annotated source of every tuning fixture at
 seeds 1-3 (default GA) and of stress75 at seed 1 with 5 generations, the
 three reports that stop before emission (gate reject, no offloadable loops,
-no valid genome evaluated), and the stdout of `gate`, `check` and
-`plan-transfers` on mix10.
+no valid genome evaluated), the stdout of `gate`, `check` and
+`plan-transfers` on mix10, and `check` on stress75.
+
+It also pins, per genome, the transfer plan and the simulated seconds:
+every valid genome of the small fixtures and a seeded random sample of
+valid genomes of mix10 and stress75, one compact JSON line per genome in
+`plans_<fixture>.jsonl`.
 
 Each command runs from inside its input directory with relative paths, so
 the config.source, config.profile and config.evaluator fields of a report
@@ -20,17 +25,25 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from acctuner.analysis import build_genome_map, check_all_parallelizable, load_profile
 from acctuner.cli import main
+from acctuner.evaluation import load_cost_model, simulate_time
+from acctuner.pipeline import load_program
+from acctuner.transfer import check_genome_valid, plan_to_dict, plan_transfers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "outputs"
 TUNE_FIXTURES = ("siblings3", "nested3", "synergy5", "deep3", "mix10")
+# fixture -> number of seeded random valid genomes, or None for every valid one
+PLAN_SAMPLES = {"siblings3": None, "nested3": None, "deep3": None,
+                "synergy5": None, "mix10": 64, "stress75": 16}
 
 NEST = ("int main(){int i; int j; float m[10][10]; float b[10][10];\n"
         "for(i=0;i<10;i++){ for(j=0;j<10;j++){ m[i][j] = b[i][j]; }}\n"
@@ -83,6 +96,8 @@ def _cases() -> dict[str, tuple]:
                            ("plan-transfers", ["--genome", "1011001110"])):
         cases[f"{command}_mix10"] = (
             FIXTURES / "tune", [command, "--source", "mix10.c", *extra], 0, ())
+    cases["check_stress75"] = (
+        FIXTURES / "stress", ["check", "--source", "stress75.c"], 0, ())
     return cases
 
 
@@ -121,10 +136,47 @@ def run_case(name: str, scratch: Path) -> dict[str, bytes]:
     return outputs
 
 
+def _genomes(stem: str, tree, genome_map):
+    """Every valid genome in counting order, or the fixture's seeded sample."""
+    n = len(genome_map)
+    count = PLAN_SAMPLES[stem]
+    if count is None:
+        candidates = (format(k, f"0{n}b") for k in range(2 ** n))
+        return [g for g in candidates if check_genome_valid(g, genome_map, tree)]
+    rng = random.Random(stem)
+    genomes = []
+    while len(genomes) < count:
+        bits = "".join(rng.choice("01") for _ in range(n))
+        if check_genome_valid(bits, genome_map, tree):
+            genomes.append(bits)
+    return genomes
+
+
+def plan_lines(stem: str) -> bytes:
+    """One line per genome: its transfer plan and simulated seconds."""
+    directory = FIXTURES / ("stress" if stem == "stress75" else "tune")
+    program, tree, accesses = load_program(str(directory / f"{stem}.c"))
+    profile = load_profile(directory / f"{stem}_profile.json", tree)
+    model = load_cost_model(directory / f"{stem}_model.json")
+    genome_map = build_genome_map(check_all_parallelizable(tree, accesses))
+    lines = []
+    for bits in _genomes(stem, tree, genome_map):
+        plan = plan_transfers(program, tree, accesses, bits, genome_map)
+        seconds = simulate_time(model, bits, genome_map, tree, profile, plan).seconds
+        lines.append(json.dumps({"genome": bits, "seconds": seconds, **plan_to_dict(plan)},
+                                separators=(",", ":")) + "\n")
+    return "".join(lines).encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     for file, data in run_case(name, tmp_path).items():
         assert data == (GOLDEN / file).read_bytes(), f"{file} differs from its golden"
+
+
+@pytest.mark.parametrize("stem", sorted(PLAN_SAMPLES))
+def test_plans_match_golden(stem):
+    assert plan_lines(stem) == (GOLDEN / f"plans_{stem}.jsonl").read_bytes()
 
 
 if __name__ == "__main__":
@@ -134,3 +186,6 @@ if __name__ == "__main__":
             for file, data in run_case(case, Path(scratch)).items():
                 (GOLDEN / file).write_bytes(data)
                 print(f"wrote {GOLDEN / file}", file=sys.stderr)
+    for stem in sorted(PLAN_SAMPLES):
+        (GOLDEN / f"plans_{stem}.jsonl").write_bytes(plan_lines(stem))
+        print(f"wrote {GOLDEN / f'plans_{stem}.jsonl'}", file=sys.stderr)

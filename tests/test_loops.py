@@ -1,6 +1,8 @@
+import pytest
+
 from acctuner.loops import DEFINE, REF, SET
 
-from conftest import analyze
+from conftest import FIXTURES, analyze
 
 
 def accesses_of(accesses, var):
@@ -178,3 +180,11 @@ def test_block_scoping_of_declarations():
     tmp = [(a.kind, a.loop_path) for a in accesses if a.var == "tmp"]
     assert (DEFINE, (0,)) in tmp
     assert all(path == (0,) for _, path in tmp)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.c")), ids=lambda p: p.name)
+def test_header_access_belongs_to_innermost_loop(path):
+    # the oracle and the planner read `header_of is not None` as "a counter
+    # of a loop inside this one", which needs this to hold
+    _, _, accesses = analyze(path.read_text())
+    assert all(a.header_of is None or a.header_of == a.loop_path[-1] for a in accesses)
