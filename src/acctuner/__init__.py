@@ -17,7 +17,6 @@ from .analysis import (
     Profile,
     build_genome_map,
     check_all_parallelizable,
-    check_parallelizable,
     gate,
     load_profile,
 )

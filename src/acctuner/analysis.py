@@ -11,6 +11,7 @@ external oracle delegates the same question to a compile probe.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -133,14 +134,11 @@ def _pair_disjoint(write: VarAccess, other: VarAccess, counter: str) -> bool:
     return False
 
 
-def _builtin_verdict(loop: LoopNode, tree: LoopTree,
-                     accesses: list[VarAccess]) -> ParallelizabilityVerdict:
+def _builtin_verdict(loop: LoopNode, inside: list[VarAccess]) -> ParallelizabilityVerdict:
+    """Verdict of one loop from the accesses that lie inside it."""
     if loop.kind != "for" or not loop.canonical:
         return ParallelizabilityVerdict(loop.loop_id, False, NOT_CANONICAL_FOR)
 
-    inside = [a for a in accesses
-              if a.function == loop.function and loop.loop_id in a.loop_path]
-    subtree = set(tree.subtree(loop.loop_id))
     counter = loop.counter
 
     by_var: dict[str, list[VarAccess]] = {}
@@ -163,6 +161,7 @@ def _builtin_verdict(loop: LoopNode, tree: LoopTree,
 
     # scalars: written and read inside the loop means a value crosses
     # iterations, except induction variables that only loop headers write
+    # (a header access inside the loop belongs to the loop or one nested in it)
     for var in sorted(by_var):
         accs = by_var[var]
         if any(a.is_array for a in accs):
@@ -170,7 +169,7 @@ def _builtin_verdict(loop: LoopNode, tree: LoopTree,
         sets = [a for a in accs if a.kind == SET]
         refs = [a for a in accs if a.kind == REF]
         if sets and refs:
-            if all(s.header_of in subtree for s in sets):
+            if all(s.header_of is not None for s in sets):
                 continue
             return ParallelizabilityVerdict(loop.loop_id, False, SCALAR_REDUCTION)
 
@@ -217,32 +216,33 @@ class ExternalOracle:
 
 def load_external_oracle(path: str | Path, program: Program,
                          tree: LoopTree) -> ExternalOracle:
-    """Build the compile-probe oracle from {"compile_cmd": ..., "workdir": ...}."""
+    """Build the compile-probe oracle from {"compile_cmd": ..., "workdir": ...};
+    the workdir is optional and must be an existing directory."""
     try:
         data = json.loads(Path(path).read_text())
         compile_cmd = data["compile_cmd"]
         if not isinstance(compile_cmd, str) or not compile_cmd:
             raise ValueError("compile_cmd must be a non-empty string")
-        return ExternalOracle(program, tree, compile_cmd, data.get("workdir"))
+        workdir = data.get("workdir")
+        if workdir is not None and not (isinstance(workdir, str) and os.path.isdir(workdir)):
+            raise ValueError(f"workdir {workdir!r} is not an existing directory")
+        return ExternalOracle(program, tree, compile_cmd, workdir)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ExternalOracleError(f"cannot load oracle config {path}: {exc}") from exc
-
-
-def check_parallelizable(loop: LoopNode, tree: LoopTree,
-                         accesses: list[VarAccess],
-                         oracle: ExternalOracle | None = None,
-                         ) -> ParallelizabilityVerdict:
-    """Eligibility of one loop, via the built-in rules or an external probe."""
-    if oracle is not None:
-        return oracle.verdict(loop)
-    return _builtin_verdict(loop, tree, accesses)
 
 
 def check_all_parallelizable(tree: LoopTree, accesses: list[VarAccess],
                              oracle: ExternalOracle | None = None,
                              ) -> list[ParallelizabilityVerdict]:
-    """Verdicts for every loop, ordered by loop_id."""
-    return [check_parallelizable(node, tree, accesses, oracle) for node in tree.nodes]
+    """Eligibility of every loop, via the built-in rules or an external
+    probe, ordered by loop_id."""
+    if oracle is not None:
+        return [oracle.verdict(node) for node in tree.nodes]
+    inside: list[list[VarAccess]] = [[] for _ in tree.nodes]
+    for a in accesses:
+        for loop_id in a.loop_path:
+            inside[loop_id].append(a)
+    return [_builtin_verdict(node, inside[node.loop_id]) for node in tree.nodes]
 
 
 @dataclass(frozen=True)

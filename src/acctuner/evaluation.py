@@ -8,6 +8,8 @@ really compiles and runs the annotated source under a wall-clock timeout.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import subprocess
 import time
 from dataclasses import dataclass
@@ -108,10 +110,14 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
 
     total_us = 0.0
     region_work: dict[int, float] = {region: 0.0 for region in sorted(chosen)}
+    # loop id -> the selected loop it lies in, or None; tree.nodes is in
+    # pre-order, so each parent is mapped before its children
+    region_of: dict[int, int | None] = {}
     for node in tree.nodes:
+        inherited = None if node.parent is None else region_of[node.parent]
+        region = node.loop_id if node.loop_id in chosen else inherited
+        region_of[node.loop_id] = region
         work = profile.total_iterations(node.loop_id) * loop_cost(node.loop_id).cpu_us_per_iter
-        region = next((r for r in (node.loop_id, *tree.ancestors(node.loop_id))
-                       if r in chosen), None)
         if region is None:
             total_us += work
         else:
@@ -138,8 +144,11 @@ class CommandEvaluatorConfig:
     workdir: str | None = None
 
     def __post_init__(self):
-        if not self.compile_cmd or not self.run_cmd:
-            raise ValueError("compile_cmd and run_cmd must be non-empty")
+        if not all(isinstance(cmd, str) and cmd for cmd in (self.compile_cmd, self.run_cmd)):
+            raise ValueError("compile_cmd and run_cmd must be non-empty strings")
+        workdir = self.workdir
+        if workdir is not None and not (isinstance(workdir, str) and os.path.isdir(workdir)):
+            raise ValueError(f"workdir {workdir!r} is not an existing directory")
 
 
 def load_command_config(path: str | Path, timeout_seconds: float,
@@ -164,7 +173,8 @@ def command_evaluate(config: CommandEvaluatorConfig,
     """Compile and run one annotated source, timing only the run.
 
     Compile failure or a nonzero run exit yields Invalid; a run exceeding
-    the timeout is killed and yields Timeout; both carry the penalty time.
+    the timeout is killed, together with every process it started, and
+    yields Timeout; both carry the penalty time.
     A shell that cannot be spawned raises SpawnError instead, so
     infrastructure trouble never looks like a slow genome.
     """
@@ -182,12 +192,21 @@ def command_evaluate(config: CommandEvaluatorConfig,
     run_cmd = config.run_cmd.format(bin=str(bin_path))
     start = time.perf_counter()
     try:
-        proc = subprocess.run(run_cmd, shell=True, capture_output=True,
-                              cwd=config.workdir, timeout=config.timeout_seconds)
-    except subprocess.TimeoutExpired:
-        return Measurement(config.penalty_seconds, TIMEOUT)
+        proc = subprocess.Popen(run_cmd, shell=True, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, cwd=config.workdir,
+                                start_new_session=True)
     except OSError as exc:
         raise SpawnError(f"cannot spawn run command {run_cmd!r}: {exc}") from exc
+    try:
+        proc.communicate(timeout=config.timeout_seconds)
+    except subprocess.TimeoutExpired:
+        return Measurement(config.penalty_seconds, TIMEOUT)
+    finally:
+        if proc.returncode is None:
+            # timed out or interrupted: the shell leads its own process
+            # group, so this also kills the children it started
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         return Measurement(config.penalty_seconds, INVALID)

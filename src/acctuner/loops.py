@@ -72,16 +72,6 @@ class LoopTree:
             parent = self.nodes[parent].parent
         return tuple(out)
 
-    def subtree(self, loop_id: int) -> tuple[int, ...]:
-        """Pre-order loop ids of the subtree rooted at loop_id, inclusive."""
-        out = [loop_id]
-        stack = list(reversed(self.nodes[loop_id].children))
-        while stack:
-            lid = stack.pop()
-            out.append(lid)
-            stack.extend(reversed(self.nodes[lid].children))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class VarAccess:

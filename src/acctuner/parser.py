@@ -64,6 +64,9 @@ _PUNCT2 = ("++", "--", "+=", "-=", "*=", "/=", "==", "!=", "<=", ">=", "&&", "||
 _PUNCT1 = "+-*/%<>=!(){}[];,"
 
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
+# binary operators, loosest-binding first
+BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
+                 ("+", "-"), ("*", "/", "%"))
 
 
 @dataclass(frozen=True)
@@ -346,14 +349,7 @@ class _Parser:
             target = VarExpr(name.text, name.pos)
             return IncDec(target, op.text, start.pos, (start.offset, op.end))
         if self.at("["):
-            indices = []
-            while self.at("["):
-                self.advance()
-                indices.append(self.parse_expr())
-                self.expect("]")
-            if len(indices) > 2:
-                self.error("arrays of more than two dimensions are not supported", start)
-            target = IndexExpr(name.text, tuple(indices), name.pos)
+            target = self.parse_index(name)
         else:
             target = VarExpr(name.text, name.pos)
         op_tok = self.peek()
@@ -363,6 +359,15 @@ class _Parser:
         value = self.parse_expr()
         end = self.tokens[self.i - 1].end
         return Assign(target, op_tok.text, value, start.pos, (start.offset, end))
+
+    def parse_index(self, name: Token) -> IndexExpr:
+        indices = []
+        while self.accept("["):
+            indices.append(self.parse_expr())
+            self.expect("]")
+        if len(indices) > 2:
+            self.error("arrays of more than two dimensions are not supported", name)
+        return IndexExpr(name.text, tuple(indices), name.pos)
 
     def parse_if(self) -> If:
         start = self.expect("if")
@@ -437,49 +442,18 @@ class _Parser:
 
     # -- expressions, precedence climbing --
 
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("||"):
-            op = self.advance()
-            left = BinaryExpr("||", left, self.parse_and(), op.pos)
-        return left
-
-    def parse_and(self):
-        left = self.parse_equality()
-        while self.at("&&"):
-            op = self.advance()
-            left = BinaryExpr("&&", left, self.parse_equality(), op.pos)
-        return left
-
-    def parse_equality(self):
-        left = self.parse_relational()
-        while self.peek().text in ("==", "!="):
-            op = self.advance()
-            left = BinaryExpr(op.text, left, self.parse_relational(), op.pos)
-        return left
-
-    def parse_relational(self):
-        left = self.parse_additive()
-        while self.peek().text in ("<", "<=", ">", ">="):
-            op = self.advance()
-            left = BinaryExpr(op.text, left, self.parse_additive(), op.pos)
-        return left
-
-    def parse_additive(self):
-        left = self.parse_multiplicative()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            op = self.advance()
-            left = BinaryExpr(op.text, left, self.parse_multiplicative(), op.pos)
-        return left
-
-    def parse_multiplicative(self):
-        left = self.parse_unary()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "/", "%"):
-            op = self.advance()
-            left = BinaryExpr(op.text, left, self.parse_unary(), op.pos)
+    def parse_expr(self, level: int = 0):
+        """Binary operators of BINARY_LEVELS[level] and tighter; every level
+        is left-associative."""
+        if level == len(BINARY_LEVELS):
+            return self.parse_unary()
+        ops = BINARY_LEVELS[level]
+        left = self.parse_expr(level + 1)
+        op = self.peek()
+        while op.text in ops:
+            self.advance()
+            left = BinaryExpr(op.text, left, self.parse_expr(level + 1), op.pos)
+            op = self.peek()
         return left
 
     def parse_unary(self):
@@ -513,14 +487,7 @@ class _Parser:
                 self.expect(")")
                 return CallExpr(name.text, tuple(args), name.pos)
             if self.at("["):
-                indices = []
-                while self.at("["):
-                    self.advance()
-                    indices.append(self.parse_expr())
-                    self.expect("]")
-                if len(indices) > 2:
-                    self.error("arrays of more than two dimensions are not supported", name)
-                return IndexExpr(name.text, tuple(indices), name.pos)
+                return self.parse_index(name)
             return VarExpr(name.text, name.pos)
         self.error(f"expected an expression, found {tok.text!r}", tok)
 

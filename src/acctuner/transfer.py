@@ -14,7 +14,8 @@ Hoisting walks the ancestor chain of G upward and stops below the first
 loop whose body contains a blocking CPU-side access of v (set/define for
 copyin; ref/set/define for copyout).  Accesses inside any selected region
 never block.  When both directions fire for one (v, G) the two directives
-merge into a single copy placed at the inner of the two targets.
+merge into a single copy placed at the copyout target, which is the inner
+of the two.
 """
 
 from __future__ import annotations
@@ -104,42 +105,28 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
 
     for region in sorted(chosen):
         function = tree.node(region).function
-        fn_accesses = by_function.get(function, [])
-        inside = [a for a in fn_accesses if region in a.loop_path]
+        inside = [a for a in by_function.get(function, []) if region in a.loop_path]
         cpu_side = cpu_by_function.get(function, [])
-        region_subtree = set(tree.subtree(region))
 
-        # counters of the region's own loops live entirely on the GPU
-        counters = {a.var for a in inside
-                    if a.kind == SET and a.header_of in region_subtree}
+        # a set in a loop header inside the region writes a counter of the
+        # region's own loops, which lives entirely on the GPU
+        counters = {a.var for a in inside if a.kind == SET and a.header_of is not None}
 
         for var in sorted({a.var for a in inside} - counters):
             var_inside = [a for a in inside if a.var == var]
             var_cpu = [a for a in cpu_side if a.var == var]
-            read_in_region = any(a.kind == REF for a in var_inside)
-            set_in_region = any(a.kind == SET for a in var_inside)
-            cpu_writes = any(a.kind in (SET, DEFINE) for a in var_cpu)
-
-            need_in = read_in_region and cpu_writes
-            need_out = set_in_region and bool(var_cpu)
-            if not need_in and not need_out:
-                continue
-
-            target_in = target_out = None
-            if need_in:
-                target_in = _hoist_target(tree, region, var_cpu, _COPYIN_BLOCKERS)
-            if need_out:
-                target_out = _hoist_target(tree, region, var_cpu, _COPYOUT_BLOCKERS)
-
-            if need_in and need_out:
-                # both directions: one copy directive at the inner target
-                inner = max((target_in, target_out),
-                            key=lambda lid: len(tree.ancestors(lid)))
-                grouped.setdefault((region, COPY, inner), set()).add(var)
+            need_in = (any(a.kind == REF for a in var_inside)
+                       and any(a.kind in (SET, DEFINE) for a in var_cpu))
+            # copyout's blockers include copyin's, so its hoist target is
+            # never above copyin's: a copy for both directions lands there
+            if var_cpu and any(a.kind == SET for a in var_inside):
+                clause, blockers = (COPY if need_in else COPYOUT), _COPYOUT_BLOCKERS
             elif need_in:
-                grouped.setdefault((region, COPYIN, target_in), set()).add(var)
+                clause, blockers = COPYIN, _COPYIN_BLOCKERS
             else:
-                grouped.setdefault((region, COPYOUT, target_out), set()).add(var)
+                continue
+            target = _hoist_target(tree, region, var_cpu, blockers)
+            grouped.setdefault((region, clause, target), set()).add(var)
 
     directives = [
         DataDirective(target, clause, tuple(sorted(vars_)), origin)

@@ -248,7 +248,7 @@ def test_criterion_09_builtin_oracle_corpus():
     assert len(ORACLE_CORPUS) >= 12
     for label, text, loop_index, expected in ORACLE_CORPUS:
         _, tree, accesses = analyze(text)
-        verdict = at.check_parallelizable(tree.node(loop_index), tree, accesses)
+        verdict = at.check_all_parallelizable(tree, accesses)[loop_index]
         assert verdict.eligible is expected, label
 
 

@@ -11,7 +11,6 @@ from acctuner.analysis import (
     ExternalOracle,
     build_genome_map,
     check_all_parallelizable,
-    check_parallelizable,
     gate,
     load_profile,
 )
@@ -190,7 +189,7 @@ CORPUS = [
                          CORPUS, ids=range(len(CORPUS)))
 def test_builtin_oracle_corpus(text, loop_index, eligible, reason):
     _, tree, accesses = analyze(text)
-    verdict = check_parallelizable(tree.node(loop_index), tree, accesses)
+    verdict = check_all_parallelizable(tree, accesses)[loop_index]
     assert verdict.eligible is eligible
     assert verdict.reason == reason
 
@@ -238,14 +237,14 @@ def test_genome_map_is_strictly_increasing(tune_fixtures):
 def test_external_oracle_accepts_on_exit_zero(tmp_path):
     program, tree, accesses = analyze(ONE_LOOP)
     oracle = ExternalOracle(program, tree, "true '{src}'", workdir=tmp_path)
-    verdict = check_parallelizable(tree.node(0), tree, accesses, oracle)
+    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
     assert verdict.eligible and verdict.reason == ELIGIBLE
 
 
 def test_external_oracle_rejects_on_nonzero_exit(tmp_path):
     program, tree, accesses = analyze(ONE_LOOP)
     oracle = ExternalOracle(program, tree, "false '{src}'", workdir=tmp_path)
-    verdict = check_parallelizable(tree.node(0), tree, accesses, oracle)
+    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
     assert not verdict.eligible
     assert verdict.reason == "external_compile_error"
 

@@ -255,7 +255,8 @@ def error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err)["error"]
 
 
-@pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}'])
+@pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}',
+                                    '{"compile_cmd": "true", "workdir": "absent"}'])
 def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "oracle.json"
     if config is not None:
@@ -265,6 +266,21 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     assert code == EXIT_EVALUATOR_FAILURE
     error = error_of(capsys)
     assert error["type"] == "ExternalOracleError"
+    assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+
+
+@pytest.mark.parametrize("config", [
+    {"compile_cmd": 5, "run_cmd": "true"},
+    {"compile_cmd": "true", "run_cmd": ["true"]},
+    {"compile_cmd": "true", "run_cmd": "true", "workdir": "absent"},
+])
+def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
+    path = workdir / "cmd.json"
+    path.write_text(json.dumps(config))
+    code = main(tune_args(workdir, **{"--evaluator": f"cmd:{path}"}))
+    assert code == EXIT_EVALUATOR_FAILURE
+    error = error_of(capsys)
+    assert error["type"] == "SpawnError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
 
 

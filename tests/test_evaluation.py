@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,18 @@ def test_command_over_timeout_run(tmp_path):
     config = CommandEvaluatorConfig("true", "sleep 2", timeout_seconds=1.0)
     m = command_evaluate(config, src)
     assert m == Measurement(1000.0, "timeout")
+
+
+def test_command_timeout_kills_children_of_run(tmp_path):
+    src = tmp_path / "t.c"
+    src.write_text("int main(){}")
+    marker = tmp_path / "marker"
+    config = CommandEvaluatorConfig(
+        "true", f"(sleep 1; touch '{marker}') & wait", timeout_seconds=0.2)
+    m = command_evaluate(config, src)
+    assert m == Measurement(1000.0, "timeout")
+    time.sleep(1.5)
+    assert not marker.exists()
 
 
 def test_command_noop_run_measured(tmp_path):

@@ -23,7 +23,6 @@ def test_nested_loops_parent_links():
     assert tree.node(1).parent == 0
     assert tree.node(0).children == [1]
     assert tree.ancestors(1) == (0,)
-    assert tree.subtree(0) == (0, 1)
 
 
 def test_while_wrapping_for_numbering():
