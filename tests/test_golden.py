@@ -6,6 +6,10 @@ three reports that stop before emission (gate reject, no offloadable loops,
 no valid genome evaluated), the stdout of `gate`, `check` and
 `plan-transfers` on mix10, and `check` on stress75.
 
+It pins the front end: the sha256 of `repr(tokenize(text))` and of
+`repr(parse(text))` for every `.c` under tests/fixtures/ and for a few
+written edge-case programs, in `frontend.json`.
+
 It also pins, per genome, the transfer plan and the simulated seconds:
 every valid genome of the small fixtures and a seeded random sample of
 valid genomes of mix10 and stress75, one compact JSON line per genome in
@@ -22,6 +26,7 @@ the goldens from the repository root with
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -35,6 +40,7 @@ import pytest
 from acctuner.analysis import build_genome_map, check_all_parallelizable, load_profile
 from acctuner.cli import main
 from acctuner.evaluation import load_cost_model, simulate_time
+from acctuner.parser import parse, tokenize
 from acctuner.pipeline import load_program
 from acctuner.transfer import check_genome_valid, plan_to_dict, plan_transfers
 
@@ -63,6 +69,25 @@ SERIAL = ("int main(){int i; float a[100];\n"
           "for(i=1;i<100;i++){ a[i] = a[i-1] + 1.0; }\n"
           "return 0;}\n")
 SERIAL_PROFILE = {"loops": [{"id": 0, "entry_count": 1, "total_iterations": 20_000_000}]}
+
+# programs that exercise the tokenizer's corners: line ends, tabs, comments
+# and pragma lines (one ending the text), number forms, every operator,
+# Unicode identifiers, trailing blanks
+EDGE_SOURCES = {
+    "crlf_tabs": "int main()\r\n{\r\n\tint x;\r\n\tx = 1;\r\n\treturn x;\r\n}\r\n",
+    "comments": ("/* header\n   comment */ int main(){ // line\n int x; /* inline */ x = 1;"
+                 " # pragma-like\n#pragma acc kernels\n return x; } // trailing"),
+    "numbers": ("int main(){ float x; x = 1.5e-3 + 2E+4 + 3e5 + 10.25 + 7 + 0 + 007"
+                " + 1.0E-0; return 0; }"),
+    "operators": ("int main(){ int a; int b; a = 1; b = 2;"
+                  " if (a <= b && !(a >= b) || a != b) { a += 1; a -= 1; a *= 2; a /= 2;"
+                  " a++; b--; } else { a = a % b - -a * (b / 2); }"
+                  " if (a == b) { a = a < b; } if (a > b) { a = 0; } return a; }"),
+    "unicode_idents": "int main(){ int \u00e9; int x\u00b2; int _\u00f11; \u00e9 = 1; x\u00b2 = \u00e9; return x\u00b2; }",
+    "trailing_blanks": "int main(){ return 0; }  \t ",
+    "blank": " \n\t\n",
+    "empty": "",
+}
 
 
 def _tune(stem: str, *extra: str) -> list[str]:
@@ -168,6 +193,25 @@ def plan_lines(stem: str) -> bytes:
     return "".join(lines).encode()
 
 
+def frontend_sources() -> dict[str, str]:
+    """name -> text: every .c under tests/fixtures/, then the edge cases."""
+    sources = {path.relative_to(FIXTURES).as_posix(): path.read_text()
+               for path in sorted(FIXTURES.rglob("*.c"))}
+    sources.update({f"edge:{name}": text for name, text in EDGE_SOURCES.items()})
+    return sources
+
+
+def frontend_digests() -> bytes:
+    """sha256 of the token list and of the AST of each frontend source."""
+    digests = {}
+    for name, text in frontend_sources().items():
+        digests[name] = {
+            "tokens": hashlib.sha256(repr(tokenize(text)).encode()).hexdigest(),
+            "ast": hashlib.sha256(repr(parse(text)).encode()).hexdigest(),
+        }
+    return (json.dumps(digests, indent=1) + "\n").encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     for file, data in run_case(name, tmp_path).items():
@@ -177,6 +221,14 @@ def test_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("stem", sorted(PLAN_SAMPLES))
 def test_plans_match_golden(stem):
     assert plan_lines(stem) == (GOLDEN / f"plans_{stem}.jsonl").read_bytes()
+
+
+def test_frontend_matches_golden():
+    expected = json.loads((GOLDEN / "frontend.json").read_text())
+    actual = json.loads(frontend_digests())
+    assert sorted(actual) == sorted(expected)
+    for name in sorted(expected):
+        assert actual[name] == expected[name], f"{name}: tokens or AST differ"
 
 
 if __name__ == "__main__":
@@ -189,3 +241,5 @@ if __name__ == "__main__":
     for stem in sorted(PLAN_SAMPLES):
         (GOLDEN / f"plans_{stem}.jsonl").write_bytes(plan_lines(stem))
         print(f"wrote {GOLDEN / f'plans_{stem}.jsonl'}", file=sys.stderr)
+    (GOLDEN / "frontend.json").write_bytes(frontend_digests())
+    print(f"wrote {GOLDEN / 'frontend.json'}", file=sys.stderr)

@@ -39,6 +39,83 @@ def test_outside_subset_rejected(text):
         parse(text)
 
 
+# Bad inputs and the (message, line, column) of the ParseError each raises.
+ERROR_CORPUS = [
+    ('int main(){\n  /* never closed\n',
+     'unterminated block comment', 2, 3),
+    ('int main(){ float x; x = .5; return 0; }',
+     "unexpected character '.'", 1, 26),
+    ('int main(){ int x; x = 1 @ 2; }',
+     "unexpected character '@'", 1, 26),
+    ('int main(){ float x; x = 1e; return 0; }',
+     "expected ';', found 'e'", 1, 27),
+    ('int main(){ float x; x = 1e+y; return 0; }',
+     "expected ';', found 'e'", 1, 27),
+    ('int main(){ float x; x = 1.; }',
+     "unexpected character '.'", 1, 27),
+    ('int main(){\n  goto L;\n}',
+     "unsupported construct 'goto'", 2, 3),
+    ('int main(){ int a[2][2][2]; }',
+     'arrays of more than two dimensions are not supported', 1, 27),
+    ('int main(){ int a[2][2]; a[0][0][0] = 1; }',
+     'arrays of more than two dimensions are not supported', 1, 26),
+    ('int main(){ int i; for(i=0;i<4;i++){ i = i; }',
+     "unterminated block; expected '}'", 1, 46),
+    ('int main(){ int i; // no close',
+     "unterminated block; expected '}'", 1, 20),
+    ('int main(){ int x; x = 3 $ 1; }',
+     "unexpected character '$'", 1, 26),
+    ('int main(){ int x; x = (1 + 2; }',
+     "expected ')', found ';'", 1, 30),
+    ('int main(',
+     "expected parameter type, found ''", 1, 10),
+    ('int main(){ int a[]; }',
+     'array dimension requires a size expression', 1, 19),
+    ('int main(){ int x; x = ; }',
+     "expected an expression, found ';'", 1, 24),
+    ('int main(){ int x; x == 1; }',
+     "expected an assignment operator, found '=='", 1, 22),
+    ('int main(){ int a[2] = 1; }',
+     'array initializers are not supported', 1, 17),
+    ('void f(){}',
+     "unsupported construct 'void'", 1, 1),
+    ('int main(){ int i; for(i++;i<2;i++){} }',
+     'for-loop initializer must be an assignment', 1, 20),
+    ('int main(){ f(1) + 2; }',
+     "expected ';', found '+'", 1, 18),
+    ('int main(){ 5; }',
+     "expected a statement, found '5'", 1, 13),
+    ('\n\n  int main(){\n\tint x;\n\tx = 1 # 2;\n}',
+     "expected ';', found '}'", 6, 1),
+    ('/* a\n b */ int main(){ @ }',
+     "unexpected character '@'", 2, 19),
+    ('int main(){\r\n\tint x;\r\n\tx = 1 ~ 2;\r\n}',
+     "unexpected character '~'", 3, 8),
+    ('int main(){ int \u00bd; }',
+     "unexpected character '\u00bd'", 1, 17),
+    ('int main(){ int x; x = 1; } }',
+     "expected a function definition, found '}'", 1, 29),
+    ('int 5(){}',
+     "expected identifier, found '5'", 1, 5),
+    ('int main(){ int if; }',
+     "expected identifier, found 'if'", 1, 17),
+    ('int main(){ float x\xa0; }',
+     "unexpected character '\\xa0'", 1, 20),
+    ('int main(){ int x;\x0c}',
+     "unexpected character '\\x0c'", 1, 19),
+    ('int main(){ int x; break; }',
+     "unsupported construct 'break'", 1, 20),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", ERROR_CORPUS,
+                         ids=range(len(ERROR_CORPUS)))
+def test_parse_error_corpus(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("int main(){\n  goto L;\n}")
