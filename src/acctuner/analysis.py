@@ -1,9 +1,10 @@
 """Profiling gate, per-loop parallelizability checks, and the genome map.
 
 The built-in parallelizability oracle is deliberately conservative: a loop
-is eligible only when it is a canonical counted for-loop and no
-cross-iteration conflict can be constructed from its array index patterns
-or scalar write/read pairs.  A false "no" costs performance; a false "yes"
+is eligible only when it is a canonical counted for-loop without a return,
+no cross-iteration conflict can be constructed from its array index
+patterns or scalar write/read pairs, and no scalar its body writes is read
+elsewhere in its function.  A false "no" costs performance; a false "yes"
 would produce wrong code.  When a real OpenACC compiler is available the
 external oracle delegates the same question to a compile probe.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import EmptyGenome, ExternalOracleError, ProfileError
 from .loops import REF, SET, LoopNode, LoopTree, VarAccess
 from .nodes import Program
+from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
 
@@ -27,7 +28,10 @@ ELIGIBLE = "eligible"
 NOT_CANONICAL_FOR = "not_canonical_for"
 LOOP_CARRIED_DEPENDENCE = "loop_carried_dependence"
 SCALAR_REDUCTION = "scalar_reduction"
+EARLY_EXIT = "early_exit"
+LIVE_OUT_SCALAR = "live_out_scalar"
 EXTERNAL_COMPILE_ERROR = "external_compile_error"
+EXTERNAL_COMPILE_TIMEOUT = "external_compile_timeout"
 
 
 @dataclass(frozen=True)
@@ -134,10 +138,14 @@ def _pair_disjoint(write: VarAccess, other: VarAccess, counter: str) -> bool:
     return False
 
 
-def _builtin_verdict(loop: LoopNode, inside: list[VarAccess]) -> ParallelizabilityVerdict:
-    """Verdict of one loop from the accesses that lie inside it."""
+def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
+                     read_functions: set[tuple[str, str]]) -> ParallelizabilityVerdict:
+    """Verdict of one loop from the accesses that lie inside it and the
+    (function, variable) pairs read anywhere."""
     if loop.kind != "for" or not loop.canonical:
         return ParallelizabilityVerdict(loop.loop_id, False, NOT_CANONICAL_FOR)
+    if loop.early_exit:
+        return ParallelizabilityVerdict(loop.loop_id, False, EARLY_EXIT)
 
     counter = loop.counter
 
@@ -159,26 +167,31 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess]) -> Parallelizabili
                     return ParallelizabilityVerdict(
                         loop.loop_id, False, LOOP_CARRIED_DEPENDENCE)
 
-    # scalars: written and read inside the loop means a value crosses
-    # iterations, except induction variables that only loop headers write
-    # (a header access inside the loop belongs to the loop or one nested in it)
+    # scalars written in the body: a read inside the loop means a value
+    # crosses iterations; with no such read, a read elsewhere in the function
+    # sees whichever iteration wrote last.  Induction variables, which only
+    # loop headers write, are exempt (a header access inside the loop
+    # belongs to the loop or one nested in it).
+    live_out = False
     for var in sorted(by_var):
         accs = by_var[var]
         if any(a.is_array for a in accs):
             continue
-        sets = [a for a in accs if a.kind == SET]
-        refs = [a for a in accs if a.kind == REF]
-        if sets and refs:
-            if all(s.header_of is not None for s in sets):
-                continue
+        if all(a.kind != SET or a.header_of is not None for a in accs):
+            continue
+        if any(a.kind == REF for a in accs):
             return ParallelizabilityVerdict(loop.loop_id, False, SCALAR_REDUCTION)
+        live_out = live_out or (loop.function, var) in read_functions
+    if live_out:
+        return ParallelizabilityVerdict(loop.loop_id, False, LIVE_OUT_SCALAR)
 
     return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
 
 
 class ExternalOracle:
     """Compile-probe oracle: insert a single kernels directive before the
-    candidate loop and run the configured compiler; exit 0 means eligible.
+    candidate loop and run the configured compiler; exit 0 means eligible,
+    and a probe that runs past DEFAULT_TIMEOUT_SECONDS means not eligible.
 
     compile_cmd is a shell template with a {src} placeholder.
     """
@@ -203,13 +216,14 @@ class ExternalOracle:
             src_path = handle.name
         cmd = self.compile_cmd.format(src=src_path)
         try:
-            proc = subprocess.run(cmd, shell=True, capture_output=True,
-                                  cwd=self.workdir)
+            status, _ = run_shell(cmd, DEFAULT_TIMEOUT_SECONDS, self.workdir)
         except OSError as exc:
             raise ExternalOracleError(f"cannot spawn {cmd!r}: {exc}") from exc
         finally:
             Path(src_path).unlink(missing_ok=True)
-        if proc.returncode == 0:
+        if status is None:
+            return ParallelizabilityVerdict(loop.loop_id, False, EXTERNAL_COMPILE_TIMEOUT)
+        if status == 0:
             return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
         return ParallelizabilityVerdict(loop.loop_id, False, EXTERNAL_COMPILE_ERROR)
 
@@ -239,10 +253,14 @@ def check_all_parallelizable(tree: LoopTree, accesses: list[VarAccess],
     if oracle is not None:
         return [oracle.verdict(node) for node in tree.nodes]
     inside: list[list[VarAccess]] = [[] for _ in tree.nodes]
+    read_functions: set[tuple[str, str]] = set()
     for a in accesses:
+        if a.kind == REF:
+            read_functions.add((a.function, a.var))
         for loop_id in a.loop_path:
             inside[loop_id].append(a)
-    return [_builtin_verdict(node, inside[node.loop_id]) for node in tree.nodes]
+    return [_builtin_verdict(node, inside[node.loop_id], read_functions)
+            for node in tree.nodes]
 
 
 @dataclass(frozen=True)

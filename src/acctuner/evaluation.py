@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import json
 import os
-import signal
-import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError
 from .loops import LoopTree
+from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, directive_exec_counts, selected_loops
 
 MEASURED = "measured"
@@ -25,7 +23,6 @@ TIMEOUT = "timeout"
 INVALID = "invalid"
 
 DEFAULT_PENALTY_SECONDS = 1000.0
-DEFAULT_TIMEOUT_SECONDS = 180.0
 
 
 @dataclass(frozen=True)
@@ -172,9 +169,9 @@ def command_evaluate(config: CommandEvaluatorConfig,
                      annotated_source_path: str | Path) -> Measurement:
     """Compile and run one annotated source, timing only the run.
 
-    Compile failure or a nonzero run exit yields Invalid; a run exceeding
-    the timeout is killed, together with every process it started, and
-    yields Timeout; both carry the penalty time.
+    A failed compile or a nonzero run exit yields Invalid; a compile or a
+    run that exceeds the timeout yields Timeout; both carry the penalty
+    time.  Each command's process group is killed when it ends (run_shell).
     A shell that cannot be spawned raises SpawnError instead, so
     infrastructure trouble never looks like a slow genome.
     """
@@ -182,35 +179,23 @@ def command_evaluate(config: CommandEvaluatorConfig,
     bin_path = src.with_suffix(".bin")
     compile_cmd = config.compile_cmd.format(src=str(src), bin=str(bin_path))
     try:
-        proc = subprocess.run(compile_cmd, shell=True, capture_output=True,
-                              cwd=config.workdir)
+        status, _ = run_shell(compile_cmd, config.timeout_seconds, config.workdir)
     except OSError as exc:
         raise SpawnError(f"cannot spawn compile command {compile_cmd!r}: {exc}") from exc
-    if proc.returncode != 0:
+    if status is None:
+        return Measurement(config.penalty_seconds, TIMEOUT)
+    if status != 0:
         return Measurement(config.penalty_seconds, INVALID)
 
     run_cmd = config.run_cmd.format(bin=str(bin_path))
-    start = time.perf_counter()
     try:
-        proc = subprocess.Popen(run_cmd, shell=True, stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE, cwd=config.workdir,
-                                start_new_session=True)
+        status, elapsed = run_shell(run_cmd, config.timeout_seconds, config.workdir)
     except OSError as exc:
         raise SpawnError(f"cannot spawn run command {run_cmd!r}: {exc}") from exc
-    try:
-        proc.communicate(timeout=config.timeout_seconds)
-    except subprocess.TimeoutExpired:
+    if status is None:
         return Measurement(config.penalty_seconds, TIMEOUT)
-    finally:
-        if proc.returncode is None:
-            # timed out or interrupted: the shell leads its own process
-            # group, so this also kills the children it started
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.communicate()
-    elapsed = time.perf_counter() - start
-    if proc.returncode != 0:
+    if status != 0:
         return Measurement(config.penalty_seconds, INVALID)
     if elapsed > config.timeout_seconds:
         return Measurement(config.penalty_seconds, TIMEOUT)
     return Measurement(elapsed, MEASURED)
-

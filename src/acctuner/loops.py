@@ -18,7 +18,6 @@ from .nodes import (
     CallExpr,
     CallStmt,
     Decl,
-    DoWhileLoop,
     ForLoop,
     Function,
     If,
@@ -51,6 +50,7 @@ class LoopNode:
     canonical: bool
     counter: str | None         # loop variable of a for-loop, if identifiable
     span: tuple[int, int]
+    early_exit: bool = False    # its body holds a return
 
 
 @dataclass
@@ -73,8 +73,11 @@ class LoopTree:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarAccess:
+    """One identifier occurrence.  Not frozen, so that construction stays
+    cheap; nothing assigns to a field after it is built."""
+
     var: str
     is_array: bool
     kind: str                       # 'define' | 'set' | 'ref'
@@ -118,7 +121,8 @@ def build_loop_tree(program: Program) -> LoopTree:
     """Collect all loop statements into a pre-order-numbered tree."""
     nodes: dict[int, LoopNode] = {}
 
-    def walk(stmt, parent: int | None, function: str):
+    def walk(stmt, parent: int | None, function: str) -> bool:
+        """Add the loops in stmt; return whether stmt holds a return."""
         if isinstance(stmt, LOOP_STMTS):
             kind = LOOP_KIND[type(stmt)]
             canonical, counter = _is_canonical(stmt) if isinstance(stmt, ForLoop) else (False, None)
@@ -127,16 +131,20 @@ def build_loop_tree(program: Program) -> LoopTree:
             nodes[stmt.loop_id] = node
             if parent is not None:
                 nodes[parent].children.append(stmt.loop_id)
-            walk(stmt.body, stmt.loop_id, function)
-            return
+            node.early_exit = walk(stmt.body, stmt.loop_id, function)
+            return node.early_exit
         if isinstance(stmt, Block):
+            returns = False
             for child in stmt.statements:
-                walk(child, parent, function)
-        elif isinstance(stmt, If):
-            walk(stmt.then_body, parent, function)
+                returns = walk(child, parent, function) or returns
+            return returns
+        if isinstance(stmt, If):
+            returns = walk(stmt.then_body, parent, function)
             if stmt.else_body is not None:
-                walk(stmt.else_body, parent, function)
-        # Decl/Assign/IncDec/CallStmt/Return contain no loops
+                returns = walk(stmt.else_body, parent, function) or returns
+            return returns
+        # Decl/Assign/IncDec/CallStmt contain no loops
+        return isinstance(stmt, Return)
 
     for fn in program.functions:
         walk(fn.body, None, fn.name)
@@ -189,7 +197,7 @@ class _AccessWalker:
         self.fn = fn
         self.out = out
         self.scope = _Scope()
-        self.loop_path: list[int] = []
+        self.loop_path: tuple[int, ...] = ()    # shared by every access it covers
         self.header_of: int | None = None
 
     def run(self):
@@ -203,10 +211,8 @@ class _AccessWalker:
         if is_array is None:
             declared = self.scope.lookup(name)
             is_array = bool(indices) if declared is None else declared
-        self.out.append(VarAccess(
-            var=name, is_array=is_array, kind=kind, pos=pos,
-            loop_path=tuple(self.loop_path), function=self.fn.name,
-            header_of=self.header_of, indices=indices))
+        self.out.append(VarAccess(name, is_array, kind, pos, self.loop_path,
+                                  self.fn.name, self.header_of, indices))
 
     # -- expressions: everything read --
 
@@ -289,21 +295,19 @@ class _AccessWalker:
             self.stmt(s.then_body)
             if s.else_body is not None:
                 self.stmt(s.else_body)
-        elif isinstance(s, ForLoop):
-            self.loop_path.append(s.loop_id)
-            self.header(s.loop_id, s.init, s.cond, s.step)
-            self.stmt(s.body)
-            self.loop_path.pop()
-        elif isinstance(s, WhileLoop):
-            self.loop_path.append(s.loop_id)
-            self.header(s.loop_id, s.cond)
-            self.stmt(s.body)
-            self.loop_path.pop()
-        elif isinstance(s, DoWhileLoop):
-            self.loop_path.append(s.loop_id)
-            self.stmt(s.body)
-            self.header(s.loop_id, s.cond)
-            self.loop_path.pop()
+        elif isinstance(s, LOOP_STMTS):
+            outer = self.loop_path
+            self.loop_path = outer + (s.loop_id,)
+            if isinstance(s, ForLoop):
+                self.header(s.loop_id, s.init, s.cond, s.step)
+                self.stmt(s.body)
+            elif isinstance(s, WhileLoop):
+                self.header(s.loop_id, s.cond)
+                self.stmt(s.body)
+            else:   # do-while: the condition follows the body
+                self.stmt(s.body)
+                self.header(s.loop_id, s.cond)
+            self.loop_path = outer
         elif isinstance(s, CallStmt):
             self.call(s.call)
         elif isinstance(s, Return):

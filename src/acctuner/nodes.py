@@ -7,10 +7,11 @@ later passes can locate and annotate code without reformatting anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
+    """A light record: the parser builds one for every node and token."""
     line: int      # 1-based
     col: int       # 1-based
     offset: int    # 0-based byte offset into the source text
@@ -20,35 +21,37 @@ Span = tuple[int, int]  # (start_offset, end_offset), end exclusive
 
 
 # ---- expressions ----
+# Slotted and not frozen, so that the parser builds them cheaply; like the
+# statements below, nothing assigns to their fields after the parse.
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NumLit:
     value: float
     is_float: bool
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarExpr:
     name: str
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IndexExpr:
     name: str
     indices: tuple          # 1 or 2 index expressions
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class UnaryExpr:
     op: str                 # '!' or '-'
     operand: object
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BinaryExpr:
     op: str
     left: object
@@ -56,7 +59,7 @@ class BinaryExpr:
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CallExpr:
     name: str
     args: tuple

@@ -25,7 +25,8 @@ rejected with a ParseError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 from .nodes import (
@@ -60,17 +61,35 @@ UNSUPPORTED_KEYWORDS = frozenset(
     "void char long short unsigned signed static extern const sizeof".split()
 )
 
-_PUNCT2 = ("++", "--", "+=", "-=", "*=", "/=", "==", "!=", "<=", ">=", "&&", "||")
-_PUNCT1 = "+-*/%<>=!(){}[];,"
-
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
 # binary operators, loosest-binding first
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
                  ("+", "-"), ("*", "/", "%"))
+_LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+
+# One token per match, after any blanks.  `\w` is exactly str.isalnum() or
+# '_'; an identifier starting outside ASCII must also pass str.isalpha().
+# Numbers are ASCII digits only.  A line comment or a '#' line runs to the
+# end of the line; a '/*' without its '*/' matches alone.  `bad` takes any
+# other character that is not a blank, so finditer skips only trailing blanks.
+_TOKEN_RE = re.compile(r"""
+    [ \t\r]*
+    (?:
+      (?P<ident>[A-Za-z_]\w*)
+    | (?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+    | (?P<nl>\n)
+    | (?P<line_comment>//[^\n]*|\#[^\n]*)
+    | (?P<block_comment>/\*(?:[\s\S]*?\*/)?)
+    | (?P<punct>\+\+|--|[-+*/=!<>]=|&&|\|\||[-+*/%<>=!(){}\[\];,])
+    | (?P<uident>[^\W\d_]\w*)
+    | (?P<bad>[^ \t\r\n])
+    )""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+_tuple_new = tuple.__new__     # a NamedTuple from one tuple, without its __new__
+
+
+class Token(NamedTuple):
     kind: str       # 'ident' | 'num' | 'punct' | 'eof'
     text: str
     line: int
@@ -79,7 +98,7 @@ class Token:
 
     @property
     def pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col, self.offset)
+        return _tuple_new(SourcePos, self[2:])      # (line, col, offset)
 
     @property
     def end(self) -> int:
@@ -87,86 +106,41 @@ class Token:
 
 
 def tokenize(text: str, path: str = "<source>") -> list[Token]:
+    """Split text into tokens, ending with one EOF token.  Raises ParseError
+    at a character outside the subset or an unterminated block comment."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def err(msg: str, l: int, c: int):
-        raise ParseError(msg, l, c, path)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line_start = 0          # offset of the first character of `line`
+    eof_col = None          # a line comment that ends the text keeps its column
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        if kind == "ident" or kind == "punct" or kind == "num":
+            append(_tuple_new(Token, (kind, m.group(kind), line, start - line_start + 1, start)))
+        elif kind == "nl":
             line += 1
-            col = 1
+            line_start = start + 1
+        elif kind == "line_comment":
+            eof_col = start - line_start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                err("unterminated block comment", line, col)
-            skipped = text[i : end + 2]
-            line += skipped.count("\n")
-            col = (len(skipped) - skipped.rfind("\n")) if "\n" in skipped else col + len(skipped)
-            i = end + 2
-            continue
-        if ch == "#":
-            # inserted pragma / preprocessor-looking line: skip to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(Token("num", text[i:j], line, col, i))
-            col += j - i
-            i = j
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token("punct", two, line, col, i))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, line, col, i))
-            i += 1
-            col += 1
-            continue
-        err(f"unexpected character {ch!r}", line, col)
-
-    tokens.append(Token("eof", "", line, col, n))
+        elif kind == "block_comment":
+            comment = m.group(kind)
+            if comment == "/*":
+                raise ParseError("unterminated block comment", line,
+                                 start - line_start + 1, path)
+            newlines = comment.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + comment.rfind("\n") + 1
+        elif kind == "uident" and text[start].isalpha():
+            append(Token("ident", m.group(kind), line, start - line_start + 1, start))
+        else:
+            raise ParseError(f"unexpected character {text[start]!r}", line,
+                             start - line_start + 1, path)
+        eof_col = None
+    n = len(text)
+    append(Token("eof", "", line, eof_col or n - line_start + 1, n))
     return tokens
 
 
@@ -179,9 +153,11 @@ class _Parser:
         self.next_loop_id = 0
 
     # -- token plumbing --
+    # The last token is EOF: advance() never moves past it, and its empty
+    # text matches no expected text, so self.tokens[self.i] always exists.
 
     def peek(self, k: int = 0) -> Token:
-        return self.tokens[min(self.i + k, len(self.tokens) - 1)]
+        return self.tokens[self.i + k]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -190,19 +166,24 @@ class _Parser:
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("punct", "ident")
+        """Whether the current token is the punctuator or keyword `text`
+        (no number token spells one)."""
+        return self.tokens[self.i].text == text
 
     def accept(self, text: str) -> Token | None:
-        if self.at(text):
-            return self.advance()
+        tok = self.tokens[self.i]
+        if tok.text == text:
+            self.i += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.text != text:
             found = repr(tok.text) if tok.text else "end of input"
             self.error(f"expected {text!r}, found {found}", tok)
-        return self.advance()
+        self.i += 1
+        return tok
 
     def error(self, msg: str, tok: Token | None = None):
         tok = tok or self.peek()
@@ -442,53 +423,60 @@ class _Parser:
 
     # -- expressions, precedence climbing --
 
-    def parse_expr(self, level: int = 0):
-        """Binary operators of BINARY_LEVELS[level] and tighter; every level
-        is left-associative."""
-        if level == len(BINARY_LEVELS):
-            return self.parse_unary()
-        ops = BINARY_LEVELS[level]
-        left = self.parse_expr(level + 1)
-        op = self.peek()
-        while op.text in ops:
-            self.advance()
-            left = BinaryExpr(op.text, left, self.parse_expr(level + 1), op.pos)
-            op = self.peek()
+    def parse_expr(self, min_level: int = 0):
+        """An operand followed by binary operators of level min_level or
+        tighter (see BINARY_LEVELS); every level is left-associative."""
+        left = self.parse_primary()
+        tokens = self.tokens
+        op = tokens[self.i]
+        level = _LEVEL_OF.get(op.text)
+        while level is not None and level >= min_level:
+            self.i += 1
+            right = self.parse_expr(level + 1)
+            left = BinaryExpr(op.text, left, right, op.pos)
+            op = tokens[self.i]
+            level = _LEVEL_OF.get(op.text)
         return left
 
-    def parse_unary(self):
-        tok = self.peek()
-        if tok.text in ("!", "-") and tok.kind == "punct":
-            self.advance()
-            return UnaryExpr(tok.text, self.parse_unary(), tok.pos)
-        return self.parse_primary()
-
     def parse_primary(self):
-        tok = self.peek()
-        self.check_supported(tok)
-        if tok.kind == "num":
-            self.advance()
-            is_float = "." in tok.text or "e" in tok.text or "E" in tok.text
-            return NumLit(float(tok.text), is_float, tok.pos)
-        if tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            name = self.advance()
-            if self.at("("):
-                self.advance()
-                args = []
-                if not self.at(")"):
-                    args.append(self.parse_expr())
-                    while self.accept(","):
+        """An operand: a literal, name, index, call or parenthesized
+        expression, after any unary '!' and '-'."""
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        if kind == "ident":
+            text = tok.text
+            if text in UNSUPPORTED_KEYWORDS:
+                self.error(f"unsupported construct {text!r}", tok)
+            if text not in KEYWORDS:
+                self.i += 1
+                after = self.tokens[self.i].text
+                if after == "(":
+                    self.i += 1
+                    args = []
+                    if not self.at(")"):
                         args.append(self.parse_expr())
+                        while self.accept(","):
+                            args.append(self.parse_expr())
+                    self.expect(")")
+                    return CallExpr(text, tuple(args), tok.pos)
+                if after == "[":
+                    return self.parse_index(tok)
+                return VarExpr(text, tok.pos)
+        elif kind == "num":
+            self.i += 1
+            text = tok.text
+            is_float = "." in text or "e" in text or "E" in text
+            return NumLit(float(text), is_float, tok.pos)
+        elif kind == "punct":
+            text = tok.text
+            if text == "(":
+                self.i += 1
+                inner = self.parse_expr()
                 self.expect(")")
-                return CallExpr(name.text, tuple(args), name.pos)
-            if self.at("["):
-                return self.parse_index(name)
-            return VarExpr(name.text, name.pos)
+                return inner
+            if text == "!" or text == "-":
+                self.i += 1
+                return UnaryExpr(text, self.parse_primary(), tok.pos)
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
 

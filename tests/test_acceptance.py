@@ -241,6 +241,12 @@ ORACLE_CORPUS = [
     ("stride-2 canonical",
      "int main(){int i; float a[100]; float b[100];"
      " for(i=0;i<100;i+=2){ a[i] = b[i]; }}", 0, True),
+    ("early return",
+     "int main(){int i; int n; float a[100]; n = 100;"
+     " for(i=0;i<n;i++){ if (a[i] > 0.0) return i; } return 0;}", 0, False),
+    ("live-out scalar",
+     "int main(){int i; float last; float a[100]; last = 0.0;"
+     " for(i=0;i<100;i++){ last = a[i]; } return last;}", 0, False),
 ]
 
 

@@ -1,10 +1,15 @@
 import json
+import time
 
 import pytest
 
 import acctuner as at
+from acctuner import analysis
 from acctuner.analysis import (
+    EARLY_EXIT,
     ELIGIBLE,
+    EXTERNAL_COMPILE_TIMEOUT,
+    LIVE_OUT_SCALAR,
     LOOP_CARRIED_DEPENDENCE,
     NOT_CANONICAL_FOR,
     SCALAR_REDUCTION,
@@ -182,6 +187,27 @@ CORPUS = [
     ("int main(){int i; float t; float a[100]; float b[100];"
      " for(i=0;i<100;i++){ t = b[i]; a[i] = t; }}",
      0, False, SCALAR_REDUCTION),
+    # a return leaves the loop at the first match
+    ("int main(){int i; int n; float a[100]; n = 100;"
+     " for(i=0;i<n;i++){ if (a[i] > 0.0) return i; } return 0;}",
+     0, False, EARLY_EXIT),
+    # ... and a return in an inner loop leaves the outer one too
+    ("int main(){int i; int j; float m[10][10];"
+     " for(i=0;i<10;i++){ for(j=0;j<10;j++){ if (m[i][j] > 0.0) { return i; } }}"
+     " return 0;}",
+     0, False, EARLY_EXIT),
+    # a scalar written in the body and read after the loop: last value wins
+    ("int main(){int i; float last; float a[100]; last = 0.0;"
+     " for(i=0;i<100;i++){ last = a[i]; } return last;}",
+     0, False, LIVE_OUT_SCALAR),
+    # ... read before the loop counts too: an enclosing loop may come back
+    ("int main(){int k; int i; float last; float a[100]; float b[100];"
+     " for(k=0;k<2;k++){ b[k] = last; for(i=0;i<100;i++){ last = a[i]; }} return 0;}",
+     1, False, LIVE_OUT_SCALAR),
+    # a scalar written in the body and never read elsewhere is a dead store
+    ("int main(){int i; float last; float a[100];"
+     " for(i=0;i<100;i++){ last = a[i]; } return 0;}",
+     0, True, ELIGIBLE),
 ]
 
 
@@ -247,6 +273,18 @@ def test_external_oracle_rejects_on_nonzero_exit(tmp_path):
     verdict = check_all_parallelizable(tree, accesses, oracle)[0]
     assert not verdict.eligible
     assert verdict.reason == "external_compile_error"
+
+
+def test_external_oracle_timeout_is_not_eligible(tmp_path, monkeypatch):
+    monkeypatch.setattr(analysis, "DEFAULT_TIMEOUT_SECONDS", 0.2)
+    program, tree, accesses = analyze(ONE_LOOP)
+    oracle = ExternalOracle(program, tree, "sleep 5", workdir=tmp_path)
+    start = time.monotonic()
+    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
+    assert time.monotonic() - start < 1.5
+    assert not verdict.eligible
+    assert verdict.reason == EXTERNAL_COMPILE_TIMEOUT
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_external_oracle_trial_inserts_exactly_one_line():

@@ -153,6 +153,18 @@ def test_tune_parse_error_exit(workdir, capsys):
     assert err["error"]["exit_code"] == EXIT_PARSE_ERROR
 
 
+@pytest.mark.parametrize("digits", ["\u00b2", "\u0661\u0662"])
+def test_tune_non_ascii_digit_is_parse_error(workdir, capsys, digits):
+    bad = workdir / "bad.c"
+    bad.write_text(f"int main(){{ int x; x = {digits}; return 0; }}", encoding="utf-8")
+    code = main(tune_args(workdir, **{"--source": str(bad)}))
+    assert code == EXIT_PARSE_ERROR
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ParseError"
+    assert err["exit_code"] == EXIT_PARSE_ERROR
+    assert f"1:24: unexpected character {digits[0]!r}" in err["message"]
+
+
 def test_tune_profile_error_exit(workdir, capsys):
     bad = workdir / "bad_profile.json"
     bad.write_text('{"loops":[]}')

@@ -167,6 +167,30 @@ def test_command_timeout_kills_children_of_run(tmp_path):
     assert not marker.exists()
 
 
+def test_command_compile_timeout(tmp_path):
+    src = tmp_path / "t.c"
+    src.write_text("int main(){}")
+    config = CommandEvaluatorConfig("sleep 5", "true", timeout_seconds=0.2)
+    start = time.monotonic()
+    m = command_evaluate(config, src)
+    assert time.monotonic() - start < 1.5
+    assert m == Measurement(1000.0, "timeout")
+
+
+@pytest.mark.parametrize("redirect", ["", " >/dev/null 2>&1"])
+def test_command_run_leaves_no_background_child(tmp_path, redirect):
+    # without the redirect the child holds the run's output open
+    src = tmp_path / "t.c"
+    src.write_text("int main(){}")
+    marker = tmp_path / "marker"
+    config = CommandEvaluatorConfig(
+        "true", f"(sleep 1; touch '{marker}'){redirect} &", timeout_seconds=5.0)
+    m = command_evaluate(config, src)
+    assert m.status == "measured" and m.seconds < 0.5
+    time.sleep(1.5)
+    assert not marker.exists()
+
+
 def test_command_noop_run_measured(tmp_path):
     src = tmp_path / "t.c"
     src.write_text("int main(){}")

@@ -25,6 +25,15 @@ def test_nested_loops_parent_links():
     assert tree.ancestors(1) == (0,)
 
 
+def test_early_exit_marks_enclosing_loops():
+    _, tree, _ = analyze(
+        "int main(){int i; int j; int k;"
+        " for(i=0;i<3;i++){ for(j=0;j<3;j++){ if (j > i) { return j; } } }"
+        " for(k=0;k<3;k++){ if (k > 1) { k = 0; } else { return k; } }"
+        " while(k < 3){ k++; } return 0;}")
+    assert [n.early_exit for n in tree.nodes] == [True, True, True, False]
+
+
 def test_while_wrapping_for_numbering():
     _, tree, _ = analyze(
         "int main(){int c; int i; c = 1;"

@@ -105,6 +105,13 @@ ERROR_CORPUS = [
      "unexpected character '\\x0c'", 1, 19),
     ('int main(){ int x; break; }',
      "unsupported construct 'break'", 1, 20),
+    # numbers are ASCII digits only
+    ('int main(){ int x; x = \u00b2; return 0; }',
+     "unexpected character '\u00b2'", 1, 24),
+    ('int main(){ int x; x = \u0661\u0662; return 0; }',
+     "unexpected character '\u0661'", 1, 24),
+    ('int main(){ int x; x = 1\u00b2; return 0; }',
+     "unexpected character '\u00b2'", 1, 25),
 ]
 
 
