@@ -112,7 +112,6 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
     append = tokens.append
     line = 1
     line_start = 0          # offset of the first character of `line`
-    eof_col = None          # a line comment that ends the text keeps its column
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         start = m.start(kind)
@@ -122,8 +121,7 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
             line += 1
             line_start = start + 1
         elif kind == "line_comment":
-            eof_col = start - line_start + 1
-            continue
+            pass
         elif kind == "block_comment":
             comment = m.group(kind)
             if comment == "/*":
@@ -138,9 +136,8 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
         else:
             raise ParseError(f"unexpected character {text[start]!r}", line,
                              start - line_start + 1, path)
-        eof_col = None
     n = len(text)
-    append(Token("eof", "", line, eof_col or n - line_start + 1, n))
+    append(Token("eof", "", line, n - line_start + 1, n))
     return tokens
 
 

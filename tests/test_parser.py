@@ -62,7 +62,7 @@ ERROR_CORPUS = [
     ('int main(){ int i; for(i=0;i<4;i++){ i = i; }',
      "unterminated block; expected '}'", 1, 46),
     ('int main(){ int i; // no close',
-     "unterminated block; expected '}'", 1, 20),
+     "unterminated block; expected '}'", 1, 31),
     ('int main(){ int x; x = 3 $ 1; }',
      "unexpected character '$'", 1, 26),
     ('int main(){ int x; x = (1 + 2; }',
