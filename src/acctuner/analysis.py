@@ -3,24 +3,21 @@
 The built-in parallelizability oracle is deliberately conservative: a loop
 is eligible only when it is a canonical counted for-loop without a return,
 no cross-iteration conflict can be constructed from its array index
-patterns or scalar write/read pairs, and no scalar its body writes is read
-elsewhere in its function.  A false "no" costs performance; a false "yes"
-would produce wrong code.  When a real OpenACC compiler is available the
-external oracle delegates the same question to a compile probe.
+patterns, scalar write/read pairs or a nested header that resets its
+counter, and no other scalar written inside it is read outside it.  A false
+"no" costs performance; a false "yes" would produce wrong code.  The compile
+probe (pipeline.probe_parallelizable) asks a real compiler instead.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGenome, ExternalOracleError, ProfileError
+from .errors import EmptyGenome, ProfileError
 from .loops import REF, SET, LoopNode, LoopTree, VarAccess
-from .nodes import Program
-from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
 
@@ -139,9 +136,9 @@ def _pair_disjoint(write: VarAccess, other: VarAccess, counter: str) -> bool:
 
 
 def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
-                     read_functions: set[tuple[str, str]]) -> ParallelizabilityVerdict:
+                     read_counts: Counter[tuple[str, str]]) -> ParallelizabilityVerdict:
     """Verdict of one loop from the accesses that lie inside it and the
-    (function, variable) pairs read anywhere."""
+    number of reads of each (function, variable) pair."""
     if loop.kind != "for" or not loop.canonical:
         return ParallelizabilityVerdict(loop.loop_id, False, NOT_CANONICAL_FOR)
     if loop.early_exit:
@@ -167,99 +164,47 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
                     return ParallelizabilityVerdict(
                         loop.loop_id, False, LOOP_CARRIED_DEPENDENCE)
 
-    # scalars written in the body: a read inside the loop means a value
-    # crosses iterations; with no such read, a read elsewhere in the function
-    # sees whichever iteration wrote last.  Induction variables, which only
-    # loop headers write, are exempt (a header access inside the loop
-    # belongs to the loop or one nested in it).
+    # scalars written inside: a read of a body-written scalar inside the loop
+    # means a value crosses iterations, and a read outside the loop sees
+    # whichever iteration wrote last.  Induction variables, which only loop
+    # headers write (a header access inside the loop belongs to the loop or
+    # one nested in it), are exempt from the first rule; a nested header that
+    # writes the candidate's own counter changes its iteration space.
     live_out = False
     for var in sorted(by_var):
         accs = by_var[var]
         if any(a.is_array for a in accs):
             continue
-        if all(a.kind != SET or a.header_of is not None for a in accs):
+        writes = [a for a in accs if a.kind == SET]
+        if not writes:
             continue
-        if any(a.kind == REF for a in accs):
+        n_reads = sum(a.kind == REF for a in accs)
+        if all(a.header_of is not None for a in writes):
+            if var == counter:
+                if any(a.header_of != loop.loop_id for a in writes):
+                    return ParallelizabilityVerdict(
+                        loop.loop_id, False, LOOP_CARRIED_DEPENDENCE)
+                continue
+        elif n_reads:
             return ParallelizabilityVerdict(loop.loop_id, False, SCALAR_REDUCTION)
-        live_out = live_out or (loop.function, var) in read_functions
+        live_out = live_out or read_counts[loop.function, var] > n_reads
     if live_out:
         return ParallelizabilityVerdict(loop.loop_id, False, LIVE_OUT_SCALAR)
 
     return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
 
 
-class ExternalOracle:
-    """Compile-probe oracle: insert a single kernels directive before the
-    candidate loop and run the configured compiler; exit 0 means eligible,
-    and a probe that runs past DEFAULT_TIMEOUT_SECONDS means not eligible.
-
-    compile_cmd is a shell template with a {src} placeholder.
-    """
-
-    def __init__(self, program: Program, tree: LoopTree, compile_cmd: str,
-                 workdir: str | Path | None = None):
-        self.program = program
-        self.tree = tree
-        self.compile_cmd = compile_cmd
-        self.workdir = Path(workdir) if workdir else None
-
-    def trial_source(self, loop_id: int) -> str:
-        from .emitter import kernels_only_annotation
-        return kernels_only_annotation(self.program, self.tree, loop_id)
-
-    def verdict(self, loop: LoopNode) -> ParallelizabilityVerdict:
-        source = self.trial_source(loop.loop_id)
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".c", prefix=f"trial_loop{loop.loop_id}_",
-                dir=self.workdir, delete=False) as handle:
-            handle.write(source)
-            src_path = handle.name
-        cmd = self.compile_cmd.format(src=src_path)
-        try:
-            status, _ = run_shell(cmd, DEFAULT_TIMEOUT_SECONDS, self.workdir)
-        except OSError as exc:
-            raise ExternalOracleError(f"cannot spawn {cmd!r}: {exc}") from exc
-        finally:
-            Path(src_path).unlink(missing_ok=True)
-        if status is None:
-            return ParallelizabilityVerdict(loop.loop_id, False, EXTERNAL_COMPILE_TIMEOUT)
-        if status == 0:
-            return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
-        return ParallelizabilityVerdict(loop.loop_id, False, EXTERNAL_COMPILE_ERROR)
-
-
-def load_external_oracle(path: str | Path, program: Program,
-                         tree: LoopTree) -> ExternalOracle:
-    """Build the compile-probe oracle from {"compile_cmd": ..., "workdir": ...};
-    the workdir is optional and must be an existing directory."""
-    try:
-        data = json.loads(Path(path).read_text())
-        compile_cmd = data["compile_cmd"]
-        if not isinstance(compile_cmd, str) or not compile_cmd:
-            raise ValueError("compile_cmd must be a non-empty string")
-        workdir = data.get("workdir")
-        if workdir is not None and not (isinstance(workdir, str) and os.path.isdir(workdir)):
-            raise ValueError(f"workdir {workdir!r} is not an existing directory")
-        return ExternalOracle(program, tree, compile_cmd, workdir)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ExternalOracleError(f"cannot load oracle config {path}: {exc}") from exc
-
-
-def check_all_parallelizable(tree: LoopTree, accesses: list[VarAccess],
-                             oracle: ExternalOracle | None = None,
-                             ) -> list[ParallelizabilityVerdict]:
-    """Eligibility of every loop, via the built-in rules or an external
-    probe, ordered by loop_id."""
-    if oracle is not None:
-        return [oracle.verdict(node) for node in tree.nodes]
+def check_all_parallelizable(tree: LoopTree,
+                             accesses: list[VarAccess]) -> list[ParallelizabilityVerdict]:
+    """Eligibility of every loop by the built-in rules, ordered by loop_id."""
     inside: list[list[VarAccess]] = [[] for _ in tree.nodes]
-    read_functions: set[tuple[str, str]] = set()
+    read_counts: Counter[tuple[str, str]] = Counter()
     for a in accesses:
         if a.kind == REF:
-            read_functions.add((a.function, a.var))
+            read_counts[a.function, a.var] += 1
         for loop_id in a.loop_path:
             inside[loop_id].append(a)
-    return [_builtin_verdict(node, inside[node.loop_id], read_functions)
+    return [_builtin_verdict(node, inside[node.loop_id], read_counts)
             for node in tree.nodes]
 
 

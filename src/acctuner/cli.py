@@ -24,7 +24,6 @@ from .analysis import (
     build_genome_map,
     check_all_parallelizable,
     gate,
-    load_external_oracle,
     load_profile,
 )
 from .emitter import emit_annotated
@@ -38,6 +37,7 @@ from .errors import (
     SpawnError,
     UsageError,
 )
+from .evaluation import load_command_config
 from .ga import GAConfig
 from .pipeline import (
     EXIT_EVALUATOR_FAILURE,
@@ -50,6 +50,7 @@ from .pipeline import (
     _write,
     gate_dict,
     load_program,
+    probe_parallelizable,
     render_report,
     run_pipeline,
     verdict_dicts,
@@ -191,13 +192,17 @@ def _cmd_gate(args) -> int:
 
 def _cmd_check(args) -> int:
     program, tree, accesses = load_program(args.source)
-    oracle = None
-    if args.oracle != "builtin":
-        if not args.oracle.startswith("cmd:"):
-            raise ExternalOracleError(
-                f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
-        oracle = load_external_oracle(args.oracle[4:], program, tree)
-    verdicts = check_all_parallelizable(tree, accesses, oracle)
+    if args.oracle == "builtin":
+        verdicts = check_all_parallelizable(tree, accesses)
+    elif args.oracle.startswith("cmd:"):
+        try:
+            config = load_command_config(args.oracle[4:], run_step=False)
+            verdicts = probe_parallelizable(config, program, tree)
+        except SpawnError as exc:
+            raise ExternalOracleError(str(exc)) from exc
+    else:
+        raise ExternalOracleError(
+            f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
     eligible = sorted(v.loop_id for v in verdicts if v.eligible)
     _emit_json({
         "verdicts": verdict_dicts(verdicts),

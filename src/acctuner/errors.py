@@ -37,11 +37,11 @@ class PlanMismatch(AutotunerError):
 
 
 class SpawnError(AutotunerError):
-    """The evaluator's shell or child process could not be started."""
+    """A command config is bad, or a trial could not be written or started."""
 
 
 class ExternalOracleError(AutotunerError):
-    """The external parallelizability probe command could not be spawned."""
+    """The compile probe's config is bad, or its trial could not be started."""
 
 
 class DomainError(AutotunerError):

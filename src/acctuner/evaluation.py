@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from string import Formatter
 
 from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError
@@ -132,70 +135,99 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     return Measurement(total_us / 1e6, MEASURED)
 
 
+def _check_template(name: str, template) -> None:
+    """Reject at load any field but a bare {src} or {bin}."""
+    if not isinstance(template, str) or not template:
+        raise ValueError(f"{name} must be a non-empty string")
+    try:
+        bad = [field for _, field, spec, conversion in Formatter().parse(template)
+               if field is not None and (field not in ("src", "bin") or spec or conversion)]
+    except ValueError as exc:
+        bad = [str(exc)]
+    if bad:
+        raise ValueError(f"{name} {template!r} has a bad field ({bad[0]}): only {{src}} and "
+                         "{bin} are filled in, and a literal brace is written {{ or }}")
+
+
 @dataclass
 class CommandEvaluatorConfig:
     compile_cmd: str            # shell template with {src} and {bin}
-    run_cmd: str                # shell template with {bin}
+    run_cmd: str | None         # likewise; None for a compile probe, which has no run step
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
     penalty_seconds: float = DEFAULT_PENALTY_SECONDS
     workdir: str | None = None
 
     def __post_init__(self):
-        if not all(isinstance(cmd, str) and cmd for cmd in (self.compile_cmd, self.run_cmd)):
-            raise ValueError("compile_cmd and run_cmd must be non-empty strings")
+        _check_template("compile_cmd", self.compile_cmd)
+        if self.run_cmd is not None:
+            _check_template("run_cmd", self.run_cmd)
         workdir = self.workdir
         if workdir is not None and not (isinstance(workdir, str) and os.path.isdir(workdir)):
             raise ValueError(f"workdir {workdir!r} is not an existing directory")
 
 
-def load_command_config(path: str | Path, timeout_seconds: float,
-                        penalty_seconds: float) -> CommandEvaluatorConfig:
-    """Read compile_cmd, run_cmd and an optional workdir from the file; the
-    timeout and penalty are the GA's."""
+def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
+                        penalty_seconds: float = DEFAULT_PENALTY_SECONDS,
+                        run_step: bool = True) -> CommandEvaluatorConfig:
+    """Read compile_cmd, run_cmd (with a run step only) and an optional
+    workdir from the file; the timeout and penalty are the caller's."""
     try:
         data = json.loads(Path(path).read_text())
         return CommandEvaluatorConfig(
             compile_cmd=data["compile_cmd"],
-            run_cmd=data["run_cmd"],
+            run_cmd=data["run_cmd"] if run_step else None,
             timeout_seconds=timeout_seconds,
             penalty_seconds=penalty_seconds,
             workdir=data.get("workdir"),
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SpawnError(f"cannot load command evaluator config {path}: {exc}") from exc
+        raise SpawnError(f"cannot load command config {path}: {exc}") from exc
+
+
+@contextmanager
+def trial_file(text: str, workdir: str | None):
+    """Write text to a new trial_*.c in workdir (default: the system temp
+    directory) and yield its absolute path; remove it and its .bin on exit."""
+    written: list[Path] = []
+    try:
+        try:
+            fd, name = tempfile.mkstemp(".c", "trial_", os.path.abspath(workdir) if workdir else None)
+            written += [Path(name), Path(name).with_suffix(".bin")]
+            with open(fd, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpawnError(f"cannot write a trial source: {exc}") from exc
+        yield written[0]
+    finally:
+        for path in written:
+            path.unlink(missing_ok=True)
 
 
 def command_evaluate(config: CommandEvaluatorConfig,
                      annotated_source_path: str | Path) -> Measurement:
     """Compile and run one annotated source, timing only the run.
 
+    Both templates get the source as {src} and the .bin beside it as {bin}.
     A failed compile or a nonzero run exit yields Invalid; a compile or a
     run that exceeds the timeout yields Timeout; both carry the penalty
-    time.  Each command's process group is killed when it ends (run_shell).
+    time.  Without a run step, a clean compile is measured by its own time.
+    Each command's process group is killed when it ends (run_shell).
     A shell that cannot be spawned raises SpawnError instead, so
     infrastructure trouble never looks like a slow genome.
     """
     src = Path(annotated_source_path)
-    bin_path = src.with_suffix(".bin")
-    compile_cmd = config.compile_cmd.format(src=str(src), bin=str(bin_path))
-    try:
-        status, _ = run_shell(compile_cmd, config.timeout_seconds, config.workdir)
-    except OSError as exc:
-        raise SpawnError(f"cannot spawn compile command {compile_cmd!r}: {exc}") from exc
-    if status is None:
-        return Measurement(config.penalty_seconds, TIMEOUT)
-    if status != 0:
-        return Measurement(config.penalty_seconds, INVALID)
-
-    run_cmd = config.run_cmd.format(bin=str(bin_path))
-    try:
-        status, elapsed = run_shell(run_cmd, config.timeout_seconds, config.workdir)
-    except OSError as exc:
-        raise SpawnError(f"cannot spawn run command {run_cmd!r}: {exc}") from exc
-    if status is None:
-        return Measurement(config.penalty_seconds, TIMEOUT)
-    if status != 0:
-        return Measurement(config.penalty_seconds, INVALID)
-    if elapsed > config.timeout_seconds:
-        return Measurement(config.penalty_seconds, TIMEOUT)
+    for step, template in (("compile", config.compile_cmd), ("run", config.run_cmd)):
+        if template is None:
+            break
+        cmd = template.format(src=src, bin=src.with_suffix(".bin"))
+        try:
+            status, elapsed = run_shell(cmd, config.timeout_seconds, config.workdir)
+        except OSError as exc:
+            raise SpawnError(f"cannot spawn {step} command {cmd!r}: {exc}") from exc
+        if status is None:
+            return Measurement(config.penalty_seconds, TIMEOUT)
+        if status != 0:
+            return Measurement(config.penalty_seconds, INVALID)
+        if elapsed > config.timeout_seconds:
+            return Measurement(config.penalty_seconds, TIMEOUT)
     return Measurement(elapsed, MEASURED)

@@ -3,7 +3,7 @@
 A genome is a '0'/'1' string over the genome map: bit k decides whether
 eligible loop genome_map.loop_ids[k] runs on the GPU.  Each generation is
 evaluate -> roulette selection with one preserved elite -> one-point
-crossover -> per-gene mutation.  Fitness is seconds**(-1/2) by default, so
+crossover -> per-gene mutation.  Fitness is seconds**(-1/2), so
 a fast individual cannot crowd out the rest of the search; timeouts and
 invalid genomes (nested selections) are priced at a fixed penalty time.
 
@@ -29,7 +29,7 @@ from .transfer import check_genome_valid
 
 CACHE_HIT = "cachehit"
 
-DEFAULT_FITNESS_EXPONENT = -0.5
+FITNESS_EXPONENT = -0.5
 
 
 @dataclass
@@ -41,7 +41,6 @@ class GAConfig:
     timeout_seconds: float = 180.0
     penalty_seconds: float = 1000.0
     rng_seed: int = 0
-    fitness_exponent: float = DEFAULT_FITNESS_EXPONENT
     workers: int = 1
 
     def __post_init__(self):
@@ -88,15 +87,14 @@ class SearchResult:
 
 
 def fitness_from_time(seconds: float, status: str = MEASURED, *,
-                      penalty_seconds: float = 1000.0,
-                      exponent: float = DEFAULT_FITNESS_EXPONENT) -> float:
-    """seconds**exponent for real measurements; timeouts and invalid
+                      penalty_seconds: float = 1000.0) -> float:
+    """seconds**FITNESS_EXPONENT for real measurements; timeouts and invalid
     individuals are priced as if they took penalty_seconds."""
     if status in (TIMEOUT, INVALID):
-        return penalty_seconds ** exponent
+        return penalty_seconds ** FITNESS_EXPONENT
     if seconds <= 0:
         raise DomainError(f"measured time must be positive, got {seconds}")
-    return seconds ** exponent
+    return seconds ** FITNESS_EXPONENT
 
 
 def init_population(size: int, gene_length: int, rng: random.Random) -> list[str]:
@@ -218,8 +216,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
             if not is_valid(bits):
                 fitness = fitness_from_time(
                     config.penalty_seconds, INVALID,
-                    penalty_seconds=config.penalty_seconds,
-                    exponent=config.fitness_exponent)
+                    penalty_seconds=config.penalty_seconds)
                 evaluated.append(EvaluatedIndividual(
                     bits, config.penalty_seconds, fitness, INVALID))
                 continue
@@ -234,8 +231,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
                 hits += 1
             fitness = fitness_from_time(
                 measurement.seconds, measurement.status,
-                penalty_seconds=config.penalty_seconds,
-                exponent=config.fitness_exponent)
+                penalty_seconds=config.penalty_seconds)
             evaluated.append(EvaluatedIndividual(
                 bits, measurement.seconds, fitness, status))
 

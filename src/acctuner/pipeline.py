@@ -14,6 +14,9 @@ from pathlib import Path
 
 from .analysis import (
     DEFAULT_GATE_THRESHOLD,
+    ELIGIBLE,
+    EXTERNAL_COMPILE_ERROR,
+    EXTERNAL_COMPILE_TIMEOUT,
     GateDecision,
     GenomeMap,
     ParallelizabilityVerdict,
@@ -23,10 +26,12 @@ from .analysis import (
     gate,
     load_profile,
 )
-from .emitter import emit_annotated
+from .emitter import emit_annotated, kernels_only_annotation
 from .errors import EmptyGenome, ModelError, OutputError, ParseError
 from .evaluation import (
     INVALID,
+    MEASURED,
+    TIMEOUT,
     CommandEvaluatorConfig,
     CostModel,
     Measurement,
@@ -34,8 +39,9 @@ from .evaluation import (
     load_command_config,
     load_cost_model,
     simulate_time,
+    trial_file,
 )
-from .ga import GAConfig, SearchResult, run_ga
+from .ga import FITNESS_EXPONENT, GAConfig, SearchResult, run_ga
 from .loops import LoopTree, build_loop_tree, extract_accesses
 from .parser import parse
 from .transfer import plan_transfers
@@ -97,7 +103,7 @@ def _config_dict(cfg: PipelineConfig) -> dict:
         "timeout_seconds": cfg.ga.timeout_seconds,
         "penalty_seconds": cfg.ga.penalty_seconds,
         "seed": cfg.ga.rng_seed,
-        "fitness_exponent": cfg.ga.fitness_exponent,
+        "fitness_exponent": FITNESS_EXPONENT,
         "gate_threshold": cfg.gate_threshold,
     }
 
@@ -145,21 +151,33 @@ def make_sim_evaluator(model: CostModel, program, tree: LoopTree, accesses,
 
 def make_cmd_evaluator(config: CommandEvaluatorConfig, program, tree: LoopTree,
                        accesses, genome_map: GenomeMap):
-    """Evaluator closure: write the annotated source for the genome into the
-    working directory, compile and run it, then remove the trial files."""
-    workdir = Path(config.workdir) if config.workdir else Path.cwd()
-
+    """Evaluator closure: write the annotated source for the genome to a
+    trial file, compile and run it, then remove the trial files."""
     def evaluate(bits: str) -> Measurement:
         plan = plan_transfers(program, tree, accesses, bits, genome_map)
         annotated = emit_annotated(program, tree, bits, genome_map, plan)
-        src_path = workdir / f"trial_{bits}.c"
-        try:
-            src_path.write_text(annotated.text)
-            return command_evaluate(config, src_path)
-        finally:
-            src_path.unlink(missing_ok=True)
-            src_path.with_suffix(".bin").unlink(missing_ok=True)
+        with trial_file(annotated.text, config.workdir) as src:
+            return command_evaluate(config, src)
     return evaluate
+
+
+_PROBE_REASONS = {MEASURED: ELIGIBLE, INVALID: EXTERNAL_COMPILE_ERROR,
+                  TIMEOUT: EXTERNAL_COMPILE_TIMEOUT}
+
+
+def probe_parallelizable(config: CommandEvaluatorConfig, program,
+                         tree: LoopTree) -> list[ParallelizabilityVerdict]:
+    """External oracle, by loop_id: one trial with no run step per loop, its
+    source the input plus one kernels line before that loop.  A clean
+    compile means eligible; a failed or timed-out one means not."""
+    verdicts = []
+    for node in tree.nodes:
+        with trial_file(kernels_only_annotation(program, tree, node.loop_id),
+                        config.workdir) as src:
+            status = command_evaluate(config, src).status
+        verdicts.append(ParallelizabilityVerdict(
+            node.loop_id, status == MEASURED, _PROBE_REASONS[status]))
+    return verdicts
 
 
 def build_evaluator(spec: str, program, tree: LoopTree, accesses,

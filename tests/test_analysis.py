@@ -4,7 +4,6 @@ import time
 import pytest
 
 import acctuner as at
-from acctuner import analysis
 from acctuner.analysis import (
     EARLY_EXIT,
     ELIGIBLE,
@@ -13,13 +12,14 @@ from acctuner.analysis import (
     LOOP_CARRIED_DEPENDENCE,
     NOT_CANONICAL_FOR,
     SCALAR_REDUCTION,
-    ExternalOracle,
     build_genome_map,
     check_all_parallelizable,
     gate,
     load_profile,
 )
 from acctuner.errors import EmptyGenome, ProfileError
+from acctuner.evaluation import CommandEvaluatorConfig
+from acctuner.pipeline import probe_parallelizable
 
 from conftest import analyze
 
@@ -208,6 +208,14 @@ CORPUS = [
     ("int main(){int i; float last; float a[100];"
      " for(i=0;i<100;i++){ last = a[i]; } return 0;}",
      0, True, ELIGIBLE),
+    # a nested loop's header resets the outer loop's counter
+    ("int main(){int i; float a[10];"
+     " for(i=0;i<2;i++){ for(i=0;i<5;i++){ a[i]=a[i]+1.0; } } return 0;}",
+     0, False, LOOP_CARRIED_DEPENDENCE),
+    # a counter that only a nested header writes, read after the loop
+    ("int main(){int i; int s; float a[10];"
+     " for(i=0;i<10;i++){ for(s=0;s<i;s++){ a[i]=1.0; } } return s;}",
+     0, False, LIVE_OUT_SCALAR),
 ]
 
 
@@ -258,42 +266,43 @@ def test_genome_map_is_strictly_increasing(tune_fixtures):
         assert all(a < b for a, b in zip(ids, ids[1:]))
 
 
-# ---- external oracle ----
+# ---- external oracle: a compile probe with no run step ----
+
+def probe(text, compile_cmd, **config):
+    program, tree, _ = analyze(text)
+    return probe_parallelizable(CommandEvaluatorConfig(compile_cmd, None, **config),
+                                program, tree)
+
 
 def test_external_oracle_accepts_on_exit_zero(tmp_path):
-    program, tree, accesses = analyze(ONE_LOOP)
-    oracle = ExternalOracle(program, tree, "true '{src}'", workdir=tmp_path)
-    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
+    verdict = probe(ONE_LOOP, "true '{src}'", workdir=str(tmp_path))[0]
     assert verdict.eligible and verdict.reason == ELIGIBLE
 
 
 def test_external_oracle_rejects_on_nonzero_exit(tmp_path):
-    program, tree, accesses = analyze(ONE_LOOP)
-    oracle = ExternalOracle(program, tree, "false '{src}'", workdir=tmp_path)
-    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
+    verdict = probe(ONE_LOOP, "false '{src}'", workdir=str(tmp_path))[0]
     assert not verdict.eligible
     assert verdict.reason == "external_compile_error"
 
 
-def test_external_oracle_timeout_is_not_eligible(tmp_path, monkeypatch):
-    monkeypatch.setattr(analysis, "DEFAULT_TIMEOUT_SECONDS", 0.2)
-    program, tree, accesses = analyze(ONE_LOOP)
-    oracle = ExternalOracle(program, tree, "sleep 5", workdir=tmp_path)
+def test_external_oracle_timeout_is_not_eligible(tmp_path):
     start = time.monotonic()
-    verdict = check_all_parallelizable(tree, accesses, oracle)[0]
+    verdict = probe(ONE_LOOP, "sleep 5", timeout_seconds=0.2, workdir=str(tmp_path))[0]
     assert time.monotonic() - start < 1.5
     assert not verdict.eligible
     assert verdict.reason == EXTERNAL_COMPILE_TIMEOUT
     assert list(tmp_path.iterdir()) == []
 
 
-def test_external_oracle_trial_inserts_exactly_one_line():
-    program, tree, _ = analyze(TWO_LOOPS)
-    oracle = ExternalOracle(program, tree, "true")
-    for loop_id in (0, 1):
-        trial = oracle.trial_source(loop_id)
-        original = program.source_text.splitlines()
-        annotated = trial.splitlines()
+def test_external_oracle_trial_inserts_exactly_one_line(tmp_path):
+    # the probe copies each trial source it compiles into tmp_path
+    verdicts = probe(TWO_LOOPS, f"cp '{{src}}' '{tmp_path}'")
+    assert [v.eligible for v in verdicts] == [True, True]
+    trials = sorted(tmp_path.iterdir())
+    assert len(trials) == 2
+    original = TWO_LOOPS.splitlines()
+    for trial in trials:
+        annotated = trial.read_text().splitlines()
         assert len(annotated) == len(original) + 1
         extra = [line for line in annotated if line not in original]
         assert len(extra) == 1 and extra[0].lstrip() == "#pragma acc kernels"

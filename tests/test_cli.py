@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -263,12 +266,47 @@ def test_tune_survives_all_invalid_search(workdir):
     assert not (workdir / "annotated.c").exists()
 
 
+def test_check_oracle_template_may_name_bin(workdir, capsys):
+    config = workdir / "oracle.json"
+    config.write_text(json.dumps({"compile_cmd": "cp '{src}' '{bin}'",
+                                  "workdir": str(workdir)}))
+    code = main(["check", "--source", str(workdir / "deep3.c"),
+                 "--oracle", f"cmd:{config}"])
+    assert code == EXIT_OK
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [v["reason"] for v in verdicts] == ["eligible"] * 4
+    assert not list(workdir.glob("trial_*"))
+
+
+def test_tune_cmd_long_genome(workdir):
+    # 260 eligible loops: a trial named after its genome would exceed the
+    # file-name limit of 255 bytes
+    loops = 260
+    src = workdir / "flat.c"
+    src.write_text("int main(){int i; float a[10];\n"
+                   + "for(i=0;i<10;i++){ a[i] = 1.0; }\n" * loops + "return 0;}\n")
+    profile = workdir / "flat_profile.json"
+    profile.write_text(json.dumps({"loops": [
+        {"id": k, "entry_count": 1, "total_iterations": 10_000_000} for k in range(loops)]}))
+    cmd_config = workdir / "cmd.json"
+    cmd_config.write_text(json.dumps({"compile_cmd": "true", "run_cmd": "true",
+                                      "workdir": str(workdir)}))
+    code = main(tune_args(workdir, **{
+        "--source": str(src), "--profile": str(profile),
+        "--evaluator": f"cmd:{cmd_config}", "--gens": "1", "--pop": "2"}))
+    assert code == EXIT_OK
+    report = json.loads((workdir / "report.json").read_text())
+    assert len(report["genome_map"]) == loops
+    assert not list(workdir.glob("trial_*"))
+
+
 def error_of(capsys) -> dict:
     return json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}',
-                                    '{"compile_cmd": "true", "workdir": "absent"}'])
+                                    '{"compile_cmd": "true", "workdir": "absent"}',
+                                    '{"compile_cmd": "${CC} -c {src}"}'])
 def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "oracle.json"
     if config is not None:
@@ -285,6 +323,7 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     {"compile_cmd": 5, "run_cmd": "true"},
     {"compile_cmd": "true", "run_cmd": ["true"]},
     {"compile_cmd": "true", "run_cmd": "true", "workdir": "absent"},
+    {"compile_cmd": "true", "run_cmd": "awk '{print}' {bin}"},
 ])
 def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "cmd.json"
@@ -320,3 +359,11 @@ def test_json_dump_into_missing_directory(workdir, capsys):
                  "--out", str(workdir / "absent" / "x.json")])
     assert code == 1
     assert error_of(capsys)["type"] == "OutputError"
+
+
+def test_python_m_acctuner_help():
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-m", "acctuner", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: acctuner")

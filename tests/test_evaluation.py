@@ -4,7 +4,7 @@ import time
 import pytest
 
 from acctuner.analysis import GenomeMap, Profile, ProfileEntry
-from acctuner.errors import ModelError
+from acctuner.errors import ModelError, SpawnError
 from acctuner.evaluation import (
     CommandEvaluatorConfig,
     CostModel,
@@ -13,10 +13,14 @@ from acctuner.evaluation import (
     command_evaluate,
     load_cost_model,
     simulate_time,
+    trial_file,
 )
 from acctuner.loops import LoopNode, LoopTree
 from acctuner.nodes import SourcePos
+from acctuner.pipeline import make_cmd_evaluator
 from acctuner.transfer import DataDirective, TransferPlan, unhoisted
+
+from conftest import analyze
 
 
 def single_loop_setup():
@@ -217,3 +221,31 @@ def test_command_templates_receive_paths(tmp_path):
     assert m.status == "measured"
     assert (tmp_path / "t.bin").exists()
 
+
+def test_trials_of_one_genome_get_distinct_sources(tmp_path):
+    program, tree, accesses = analyze("int main(){int i; float a[10];"
+                                      " for(i=0;i<10;i++){ a[i] = 1.0; }}")
+    log = tmp_path / "log"
+    config = CommandEvaluatorConfig(f"echo '{{src}}' >> '{log}'", "true",
+                                    timeout_seconds=5.0, workdir=str(tmp_path))
+    evaluate = make_cmd_evaluator(config, program, tree, accesses, GenomeMap((0,)))
+    assert evaluate("1").status == evaluate("1").status == "measured"
+    first, second = log.read_text().splitlines()
+    assert first != second
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log"]
+
+
+def test_trial_in_relative_workdir(tmp_path, monkeypatch):
+    # the commands run inside the workdir, so {src} must not be relative to it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "trials").mkdir()
+    config = CommandEvaluatorConfig("test -f '{src}'", "true", timeout_seconds=5.0,
+                                    workdir="trials")
+    with trial_file("int main(){}", config.workdir) as src:
+        assert command_evaluate(config, src).status == "measured"
+
+
+def test_unwritable_trial_file_is_spawn_error(tmp_path):
+    with pytest.raises(SpawnError):
+        with trial_file("int main(){}", str(tmp_path / "absent")):
+            pass

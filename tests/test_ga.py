@@ -71,10 +71,6 @@ def test_fitness_rejects_nonpositive_measured():
         fitness_from_time(-3.0)
 
 
-def test_fitness_exponent_knob():
-    assert fitness_from_time(4.0, exponent=-1.0) == 0.25
-
-
 # ---- init ----
 
 def test_init_population_deterministic():
