@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import GenomeMap
-from .errors import InvalidGenome, PlanMismatch
+from .errors import PlanMismatch
 from .loops import LoopTree
 from .nodes import Program
-from .transfer import CLAUSE_ORDER, TransferPlan, check_genome_valid, selected_loops
+from .transfer import CLAUSE_ORDER, TransferPlan, regions
 
 KERNELS_LINE = "#pragma acc kernels"
 
@@ -91,10 +91,9 @@ def emit_annotated(program: Program, tree: LoopTree, genome_bits: str,
     An all-zero genome with an empty plan reproduces the input byte for
     byte.  Emission is pure: the same inputs always give the same bytes.
     """
-    if not check_genome_valid(genome_bits, genome_map, tree):
-        raise InvalidGenome(f"genome {genome_bits} selects nested loops")
-    return _render(program, tree, selected_loops(genome_bits, genome_map),
-                   plan.directives)
+    region_of = regions(genome_bits, genome_map, tree)
+    selected = {loop_id for loop_id, region in enumerate(region_of) if region == loop_id}
+    return _render(program, tree, selected, plan.directives)
 
 
 def kernels_only_annotation(program: Program, tree: LoopTree, loop_id: int) -> str:

@@ -25,7 +25,7 @@ class ModelError(AutotunerError):
 
 
 class InvalidGenome(AutotunerError):
-    """Genome selects two loops in an ancestor/descendant relation."""
+    """Genome is not a 0/1 string of the gene length, or selects two nested loops."""
 
 
 class EmptyGenome(AutotunerError):

@@ -8,6 +8,7 @@ really compiles and runs the annotated source under a wall-clock timeout.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
-from .transfer import TransferPlan, directive_exec_counts, selected_loops
+from .transfer import TransferPlan, directive_exec_counts, regions
 
 MEASURED = "measured"
 TIMEOUT = "timeout"
@@ -60,24 +61,24 @@ def load_cost_model(path: str | Path) -> CostModel:
     except (OSError, json.JSONDecodeError) as exc:
         raise ModelError(f"cannot read cost model {path}: {exc}") from exc
     try:
-        loops = {}
-        for key, rec in data["loops"].items():
-            cost = LoopCost(float(rec["cpu_us_per_iter"]),
-                            float(rec["gpu_speedup"]),
-                            float(rec["kernel_launch_us"]))
-            if cost.cpu_us_per_iter < 0 or cost.kernel_launch_us < 0:
-                raise ModelError(f"cost model {path}: loop {key} has a negative cost")
-            if cost.gpu_speedup <= 0:
-                raise ModelError(f"cost model {path}: loop {key} needs gpu_speedup > 0")
-            loops[int(key)] = cost
+        loops = {int(key): LoopCost(float(rec["cpu_us_per_iter"]),
+                                    float(rec["gpu_speedup"]),
+                                    float(rec["kernel_launch_us"]))
+                 for key, rec in data["loops"].items()}
         var_bytes = {name: float(rec["size_bytes"])
                      for name, rec in data.get("vars", {}).items()}
         fixed = float(data["transfer_fixed_us"])
         per_kib = float(data["transfer_us_per_kib"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cost model {path}: malformed entry: {exc!r}") from exc
-    if fixed < 0 or per_kib < 0 or any(b < 0 for b in var_bytes.values()):
-        raise ModelError(f"cost model {path}: costs must be non-negative")
+    # NaN fails every comparison, so each bound below also rejects it
+    for key, cost in loops.items():
+        if not (0 <= cost.cpu_us_per_iter < math.inf and 0 <= cost.kernel_launch_us < math.inf):
+            raise ModelError(f"cost model {path}: loop {key} needs finite, non-negative costs")
+        if not 0 < cost.gpu_speedup < math.inf:
+            raise ModelError(f"cost model {path}: loop {key} needs a finite gpu_speedup > 0")
+    if not all(0 <= x < math.inf for x in (fixed, per_kib, *var_bytes.values())):
+        raise ModelError(f"cost model {path}: costs must be finite and non-negative")
     return CostModel(loops, var_bytes, fixed, per_kib)
 
 
@@ -101,7 +102,7 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     launch per region entry; each planned directive pays its transfer cost
     once per execution.
     """
-    chosen = selected_loops(genome_bits, genome_map)
+    region_of = regions(genome_bits, genome_map, tree)
 
     def loop_cost(loop_id: int) -> LoopCost:
         if loop_id not in model.loops:
@@ -109,23 +110,18 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
         return model.loops[loop_id]
 
     total_us = 0.0
-    region_work: dict[int, float] = {region: 0.0 for region in sorted(chosen)}
-    # loop id -> the selected loop it lies in, or None; tree.nodes is in
-    # pre-order, so each parent is mapped before its children
-    region_of: dict[int, int | None] = {}
-    for node in tree.nodes:
-        inherited = None if node.parent is None else region_of[node.parent]
-        region = node.loop_id if node.loop_id in chosen else inherited
-        region_of[node.loop_id] = region
+    # region -> its subtree's work; each enters at its own loop, so keys ascend
+    region_work: dict[int, float] = {}
+    for node, region in zip(tree.nodes, region_of):
         work = profile.total_iterations(node.loop_id) * loop_cost(node.loop_id).cpu_us_per_iter
         if region is None:
             total_us += work
         else:
-            region_work[region] += work
+            region_work[region] = region_work.get(region, 0.0) + work
 
-    for region in sorted(chosen):
+    for region, work in region_work.items():
         cost = loop_cost(region)
-        total_us += region_work[region] / cost.gpu_speedup
+        total_us += work / cost.gpu_speedup
         total_us += profile.entry_count(region) * cost.kernel_launch_us
 
     exec_counts = directive_exec_counts(plan, tree, profile)
@@ -180,7 +176,9 @@ def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEO
             penalty_seconds=penalty_seconds,
             workdir=data.get("workdir"),
         )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise SpawnError(f"cannot load command config {path}: missing key {exc}") from exc
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         raise SpawnError(f"cannot load command config {path}: {exc}") from exc
 
 

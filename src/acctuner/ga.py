@@ -17,6 +17,9 @@ no randomness, so results do not depend on evaluation parallelism.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,8 +55,9 @@ class GAConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.penalty_seconds <= 0 or self.timeout_seconds <= 0:
-            raise ValueError("timeout and penalty must be positive")
+        # NaN fails every comparison, so the bounds reject it too
+        if not (0 < self.penalty_seconds < math.inf and 0 < self.timeout_seconds < math.inf):
+            raise ValueError("timeout and penalty must be positive and finite")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -110,25 +114,16 @@ def select_next_parents(evaluated: list[EvaluatedIndividual],
     """Slot 0 holds a verbatim copy of the best individual (ties break to
     the lower index); the remaining slots are fitness-proportional draws
     with replacement."""
-    best_index = 0
-    for i, ind in enumerate(evaluated):
-        if ind.fitness > evaluated[best_index].fitness:
-            best_index = i
+    best_index = max(range(len(evaluated)), key=lambda i: (evaluated[i].fitness, -i))
     weights = [ind.fitness for ind in evaluated]
     total = sum(weights)
-    cumulative = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cumulative.append(acc)
+    cumulative = list(itertools.accumulate(weights))
 
     parents = [evaluated[best_index].genome]
     for _ in range(len(evaluated) - 1):
-        x = rng.random() * total
-        index = 0
-        while index < len(cumulative) - 1 and cumulative[index] <= x:
-            index += 1
-        parents.append(evaluated[index].genome)
+        # the first slot whose running total exceeds the draw, the last at most
+        index = bisect.bisect_right(cumulative, rng.random() * total)
+        parents.append(evaluated[min(index, len(evaluated) - 1)].genome)
     return parents
 
 
@@ -183,15 +178,9 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
         raise EmptyGenome("no offloadable loops")
     size = min(config.population, max(2, gene_length))
     rng = random.Random(config.rng_seed)
-    measured: dict[str, Measurement] = {}   # the dedup cache
+    measured: dict[str, Measurement | None] = {}   # the dedup cache; None if nested
 
     population = init_population(size, gene_length, rng)
-    validity: dict[str, bool] = {}
-
-    def is_valid(bits: str) -> bool:
-        if bits not in validity:
-            validity[bits] = check_genome_valid(bits, genome_map, tree)
-        return validity[bits]
 
     best: EvaluatedIndividual | None = None
     history: list[GenerationStats] = []
@@ -201,8 +190,10 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
     for generation in range(1, config.generations + 1):
         # measure the distinct valid genomes this generation adds, then
         # score every individual from the cache
-        fresh = list(dict.fromkeys(
-            bits for bits in population if is_valid(bits) and bits not in measured))
+        for bits in dict.fromkeys(population):
+            if bits not in measured and not check_genome_valid(bits, genome_map, tree):
+                measured[bits] = None
+        fresh = list(dict.fromkeys(bits for bits in population if bits not in measured))
         if config.workers > 1 and len(fresh) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 new = dict(zip(fresh, pool.map(evaluate, fresh)))
@@ -213,18 +204,14 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
 
         evaluated: list[EvaluatedIndividual] = []
         for bits in population:
-            if not is_valid(bits):
-                fitness = fitness_from_time(
-                    config.penalty_seconds, INVALID,
-                    penalty_seconds=config.penalty_seconds)
-                evaluated.append(EvaluatedIndividual(
-                    bits, config.penalty_seconds, fitness, INVALID))
-                continue
             # the first copy of a genome measured this generation carries its
-            # status; every other copy is a cache hit
+            # status; every other copy of a valid genome is a cache hit
             measurement = new.pop(bits, None)
             if measurement is not None:
                 status = measurement.status
+            elif measured[bits] is None:
+                measurement = Measurement(config.penalty_seconds, INVALID)
+                status = INVALID
             else:
                 measurement = measured[bits]
                 status = CACHE_HIT

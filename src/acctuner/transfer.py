@@ -16,6 +16,12 @@ copyin; ref/set/define for copyout).  Accesses inside any selected region
 never block.  When both directions fire for one (v, G) the two directives
 merge into a single copy placed at the copyout target, which is the inner
 of the two.
+
+A genome is read once, by `regions`, into a region map: each loop id maps
+to the selected loop it lies in (itself included), or None on the CPU
+side.  It is the one nesting check too.  As regions never nest, the
+planner files each access once, under the region of its innermost loop or
+under its function's CPU side.
 """
 
 from __future__ import annotations
@@ -49,31 +55,44 @@ class TransferPlan:
     directives: tuple[DataDirective, ...]
 
 
-def selected_loops(genome_bits: str, genome_map: GenomeMap) -> set[int]:
+def regions(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> list[int | None]:
+    """Entry k is the selected loop that loop k lies in, itself included, or
+    None.  A wrong length, a character not 0/1 or a selected loop inside
+    another raises InvalidGenome."""
     if len(genome_bits) != len(genome_map):
-        raise InvalidGenome(
-            f"genome length {len(genome_bits)} != gene length {len(genome_map)}")
-    if any(b not in "01" for b in genome_bits):
-        raise InvalidGenome(f"genome {genome_bits!r} must be a 0/1 string")
-    return {genome_map.loop_ids[k] for k, bit in enumerate(genome_bits) if bit == "1"}
-
-
-def _nested(chosen: set[int], tree: LoopTree) -> bool:
-    return any(chosen.intersection(tree.ancestors(loop_id)) for loop_id in chosen)
+        raise InvalidGenome(f"genome length {len(genome_bits)} != gene length {len(genome_map)}")
+    selected = [False] * len(tree)
+    for loop_id, bit in zip(genome_map.loop_ids, genome_bits):
+        if bit not in "01":
+            raise InvalidGenome(f"genome {genome_bits!r} must be a 0/1 string")
+        selected[loop_id] = bit == "1"
+    # tree.nodes is in pre-order, so each parent is mapped before its children
+    region_of: list[int | None] = []
+    for node in tree.nodes:
+        region = None if node.parent is None else region_of[node.parent]
+        if selected[node.loop_id]:
+            if region is not None:
+                raise InvalidGenome(
+                    f"genome {genome_bits} selects loop {node.loop_id} inside loop {region}")
+            region = node.loop_id
+        region_of.append(region)
+    return region_of
 
 
 def check_genome_valid(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> bool:
-    """A genome is invalid when two selected loops nest inside each other."""
-    return not _nested(selected_loops(genome_bits, genome_map), tree)
+    """Whether `regions` accepts the genome: no two selected loops nest."""
+    try:
+        regions(genome_bits, genome_map, tree)
+    except InvalidGenome:
+        return False
+    return True
 
 
 def _hoist_target(tree: LoopTree, region: int, cpu_accesses: list[VarAccess],
                   blockers: tuple[str, ...]) -> int:
     target = region
     for ancestor in tree.ancestors(region):
-        blocked = any(ancestor in a.loop_path and a.kind in blockers
-                      for a in cpu_accesses)
-        if blocked:
+        if any(ancestor in a.loop_path and a.kind in blockers for a in cpu_accesses):
             break
         target = ancestor
     return target
@@ -86,27 +105,23 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     The result is canonically ordered (target loop, then clause, then first
     variable), so identical inputs always produce identical plans.
     """
-    chosen = selected_loops(genome_bits, genome_map)
-    if _nested(chosen, tree):
-        raise InvalidGenome(
-            f"nested selected loops: {sorted(chosen)} contains an ancestor pair")
+    region_of = regions(genome_bits, genome_map, tree)
 
     # (origin, clause, target) -> set of vars
     grouped: dict[tuple[int, str, int], set[str]] = {}
 
-    # per-function access lists and the genome's CPU side, computed once
-    by_function: dict[str, list[VarAccess]] = {}
+    # each access filed once: under its region, or its function's CPU side
+    inside_of: dict[int, list[VarAccess]] = {}
+    cpu_by_function: dict[str, list[VarAccess]] = {}
     for a in accesses:
-        by_function.setdefault(a.function, []).append(a)
-    cpu_by_function: dict[str, list[VarAccess]] = {
-        fn: [a for a in fn_accesses if not chosen.intersection(a.loop_path)]
-        for fn, fn_accesses in by_function.items()
-    }
+        region = region_of[a.loop_path[-1]] if a.loop_path else None
+        if region is None:
+            cpu_by_function.setdefault(a.function, []).append(a)
+        else:
+            inside_of.setdefault(region, []).append(a)
 
-    for region in sorted(chosen):
-        function = tree.node(region).function
-        inside = [a for a in by_function.get(function, []) if region in a.loop_path]
-        cpu_side = cpu_by_function.get(function, [])
+    for region, inside in sorted(inside_of.items()):
+        cpu_side = cpu_by_function.get(tree.node(region).function, [])
 
         # a set in a loop header inside the region writes a counter of the
         # region's own loops, which lives entirely on the GPU

@@ -185,6 +185,25 @@ def test_tune_missing_cost_model_no_partial_report(workdir, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModelError"
 
 
+@pytest.mark.parametrize("entry,value", [
+    (("loops",), []), (("vars",), []), (("transfer_fixed_us",), float("nan")),
+    (("loops", "0", "cpu_us_per_iter"), float("inf"))])
+def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
+    model = json.loads((workdir / "siblings3_model.json").read_text())
+    record = model
+    for key in entry[:-1]:
+        record = record[key]
+    record[entry[-1]] = value
+    path = workdir / "bad_model.json"
+    path.write_text(json.dumps(model))     # NaN and Infinity as Python writes them
+    code = main(tune_args(workdir, **{"--evaluator": f"sim:{path}"}))
+    assert code == EXIT_EVALUATOR_FAILURE
+    error = error_of(capsys)
+    assert error["type"] == "ModelError"
+    assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert not (workdir / "report.json").exists()
+
+
 def test_tune_byte_identical_reruns(workdir):
     out_a = workdir / "a.c"
     out_b = workdir / "b.c"
@@ -324,6 +343,7 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     {"compile_cmd": "true", "run_cmd": ["true"]},
     {"compile_cmd": "true", "run_cmd": "true", "workdir": "absent"},
     {"compile_cmd": "true", "run_cmd": "awk '{print}' {bin}"},
+    {"compile_cmd": "true"},
 ])
 def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "cmd.json"
@@ -333,9 +353,12 @@ def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     error = error_of(capsys)
     assert error["type"] == "SpawnError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    if "run_cmd" not in config:
+        assert error["message"].endswith(": missing key 'run_cmd'")
 
 
-@pytest.mark.parametrize("flag,value", [("--pop", "1"), ("--workers", "0")])
+@pytest.mark.parametrize("flag,value", [("--pop", "1"), ("--workers", "0"),
+                                        ("--penalty", "nan"), ("--timeout", "inf")])
 def test_tune_bad_ga_option_is_usage_error(workdir, capsys, flag, value):
     code = main(tune_args(workdir, **{flag: value}))
     assert code == 2

@@ -127,6 +127,12 @@ def test_load_cost_model_roundtrip(tmp_path):
     '{"loops": {}}',
     '{"loops": {"0": {"cpu_us_per_iter": -1, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
     '{"loops": {"0": {"cpu_us_per_iter": 1, "gpu_speedup": 0, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": [], "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {}, "vars": [], "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {}, "vars": {}, "transfer_fixed_us": NaN, "transfer_us_per_kib": 0}',
+    '{"loops": {}, "vars": {"a": {"size_bytes": Infinity}}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {"0": {"cpu_us_per_iter": Infinity, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {"0": {"cpu_us_per_iter": 1, "gpu_speedup": NaN, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
     "not json",
 ])
 def test_load_cost_model_rejects_malformed(tmp_path, payload):

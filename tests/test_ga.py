@@ -334,3 +334,8 @@ def test_gaconfig_validation():
         GAConfig(mutation_rate=-0.1)
     with pytest.raises(ValueError):
         GAConfig(workers=0)
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(ValueError):
+            GAConfig(timeout_seconds=bad)
+        with pytest.raises(ValueError):
+            GAConfig(penalty_seconds=bad)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from acctuner.transfer import (
     check_genome_valid,
     directive_exec_counts,
     plan_transfers,
+    regions,
     unhoisted,
 )
 
@@ -76,6 +78,42 @@ def test_invalid_genome_rejected():
     assert not check_genome_valid("11", gm, tree)
     with pytest.raises(InvalidGenome):
         plan_transfers(program, tree, accesses, "11", gm)
+
+
+def _genomes(fixture, rng):
+    """Every genome of a small fixture; seeded samples of a larger one, at
+    three selection densities so that nested pairs come up."""
+    a = len(fixture.genome_map)
+    if fixture.name in ("siblings3", "nested3", "deep3", "synergy5"):
+        return ["".join(bits) for bits in itertools.product("01", repeat=a)]
+    return ["".join("1" if rng.random() < p else "0" for _ in range(a))
+            for p in (0.1, 0.3, 0.6) for _ in range(100)]
+
+
+def test_regions_contract(tune_fixtures, stress_fixture):
+    rng = random.Random(5)
+    nested_seen = 0
+    for fixture in (*tune_fixtures.values(), stress_fixture):
+        gm, tree = fixture.genome_map, fixture.tree
+        for bits in _genomes(fixture, rng):
+            chosen = {loop for loop, bit in zip(gm.loop_ids, bits) if bit == "1"}
+            if any(chosen.intersection(tree.ancestors(loop)) for loop in chosen):
+                nested_seen += 1
+                with pytest.raises(InvalidGenome):
+                    regions(bits, gm, tree)
+                assert not check_genome_valid(bits, gm, tree)
+                continue
+            region_of = regions(bits, gm, tree)
+            assert len(region_of) == len(tree)
+            for node in tree.nodes:
+                inside = chosen.intersection((node.loop_id, *tree.ancestors(node.loop_id)))
+                assert len(inside) <= 1
+                assert region_of[node.loop_id] == (inside.pop() if inside else None)
+            assert check_genome_valid(bits, gm, tree)
+            for bad in (bits[:-1], bits + "0", "2" + bits[1:], bits[:-1] + " "):
+                with pytest.raises(InvalidGenome):
+                    regions(bad, gm, tree)
+    assert nested_seen > 0
 
 
 def test_genome_length_mismatch_rejected():
