@@ -84,7 +84,6 @@ class GenerationStats:
 class SearchResult:
     best: EvaluatedIndividual
     history: list[GenerationStats]
-    gene_length: int
     effective_population: int
     evaluations_performed: int
     cache_hits: int
@@ -256,7 +255,6 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
     return SearchResult(
         best=best,
         history=history,
-        gene_length=gene_length,
         effective_population=size,
         evaluations_performed=evaluations,
         cache_hits=hits,

@@ -44,12 +44,10 @@ class LoopNode:
     loop_id: int
     kind: str                   # 'for' | 'while' | 'dowhile'
     parent: int | None
-    children: list[int]
     function: str
     header_pos: SourcePos
     canonical: bool
     counter: str | None         # loop variable of a for-loop, if identifiable
-    span: tuple[int, int]
     early_exit: bool = False    # its body holds a return
 
 
@@ -126,11 +124,8 @@ def build_loop_tree(program: Program) -> LoopTree:
         if isinstance(stmt, LOOP_STMTS):
             kind = LOOP_KIND[type(stmt)]
             canonical, counter = _is_canonical(stmt) if isinstance(stmt, ForLoop) else (False, None)
-            node = LoopNode(stmt.loop_id, kind, parent, [], function,
-                            stmt.pos, canonical, counter, stmt.span)
+            node = LoopNode(stmt.loop_id, kind, parent, function, stmt.pos, canonical, counter)
             nodes[stmt.loop_id] = node
-            if parent is not None:
-                nodes[parent].children.append(stmt.loop_id)
             node.early_exit = walk(stmt.body, stmt.loop_id, function)
             return node.early_exit
         if isinstance(stmt, Block):
@@ -217,22 +212,23 @@ class _AccessWalker:
     # -- expressions: everything read --
 
     def expr(self, e):
-        if e is None or isinstance(e, NumLit):
-            return
-        if isinstance(e, VarExpr):
-            self.emit(e.name, REF, e.pos)
-        elif isinstance(e, IndexExpr):
-            norm = tuple(_normalize_index(ix) for ix in e.indices)
-            self.emit(e.name, REF, e.pos, is_array=True, indices=norm)
-            for ix in e.indices:
-                self.expr(ix)
-        elif isinstance(e, UnaryExpr):
-            self.expr(e.operand)
-        elif isinstance(e, BinaryExpr):
-            self.expr(e.left)
-            self.expr(e.right)
-        elif isinstance(e, CallExpr):
-            self.call(e)
+        """Emit in source order, walking a stack of pending subexpressions:
+        only a call recurses, so a long operator chain costs no stack depth."""
+        pending = [e]
+        while pending:
+            e = pending.pop()
+            if isinstance(e, VarExpr):
+                self.emit(e.name, REF, e.pos)
+            elif isinstance(e, BinaryExpr):
+                pending += (e.right, e.left)
+            elif isinstance(e, IndexExpr):
+                norm = tuple(_normalize_index(ix) for ix in e.indices)
+                self.emit(e.name, REF, e.pos, is_array=True, indices=norm)
+                pending += reversed(e.indices)
+            elif isinstance(e, UnaryExpr):
+                pending.append(e.operand)
+            elif isinstance(e, CallExpr):
+                self.call(e)
 
     def call(self, e: CallExpr):
         # An array passed whole to a call may be read and written inside the

@@ -1,7 +1,8 @@
 """AST node types for the C-like subset language.
 
-Every statement carries a byte-offset span into the original source text so
-later passes can locate and annotate code without reformatting anything.
+Every node carries the (line, col) of its first token.  Later passes need
+no more: loops are numbered, accesses are classified by kind, and the
+emitter inserts whole lines before a loop's header line.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ class SourcePos(NamedTuple):
     """A light record: the parser builds one for every node and token."""
     line: int      # 1-based
     col: int       # 1-based
-    offset: int    # 0-based byte offset into the source text
-
-
-Span = tuple[int, int]  # (start_offset, end_offset), end exclusive
 
 
 # ---- expressions ----
@@ -70,12 +67,10 @@ class CallExpr:
 
 @dataclass
 class Decl:
-    type_name: str          # 'int' | 'float' | 'double'
     name: str
     dims: tuple             # () scalar, 1 or 2 element-count expressions
     init: object | None
     pos: SourcePos
-    span: Span
 
     @property
     def is_array(self) -> bool:
@@ -88,7 +83,6 @@ class Assign:
     op: str                 # '=' '+=' '-=' '*=' '/='
     value: object
     pos: SourcePos
-    span: Span
 
 
 @dataclass
@@ -96,7 +90,6 @@ class IncDec:
     target: VarExpr
     op: str                 # '++' or '--'
     pos: SourcePos
-    span: Span
 
 
 @dataclass
@@ -105,7 +98,6 @@ class If:
     then_body: "Block"
     else_body: "Block | None"
     pos: SourcePos
-    span: Span
 
 
 @dataclass
@@ -116,7 +108,6 @@ class ForLoop:
     body: "Block"
     loop_id: int
     pos: SourcePos
-    span: Span
 
 
 @dataclass
@@ -125,7 +116,6 @@ class WhileLoop:
     body: "Block"
     loop_id: int
     pos: SourcePos
-    span: Span
 
 
 @dataclass
@@ -134,38 +124,32 @@ class DoWhileLoop:
     cond: object
     loop_id: int
     pos: SourcePos
-    span: Span
 
 
 @dataclass
 class CallStmt:
     call: CallExpr
     pos: SourcePos
-    span: Span
 
 
 @dataclass
 class Return:
     value: object | None
     pos: SourcePos
-    span: Span
 
 
 @dataclass
 class Block:
     statements: list
     pos: SourcePos
-    span: Span
 
 
 @dataclass
 class Function:
     name: str
-    return_type: str
     params: list[Decl]
     body: Block
     pos: SourcePos
-    span: Span
 
 
 @dataclass

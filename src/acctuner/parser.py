@@ -20,7 +20,10 @@ Expressions support || && comparisons + - * / % unary !/- literals,
 identifiers, indexing and calls.  Comments are // and /* */; lines starting
 with '#' (inserted pragmas) are skipped like comments.  Pointers, goto,
 switch/break/continue and the preprocessor are outside the subset and are
-rejected with a ParseError.
+rejected with a ParseError, as is nesting deeper than MAX_NESTING.
+
+Tokens and nodes carry only the (line, col) where they start, both 1-based;
+a tab or a '\r' counts as one column.
 """
 
 from __future__ import annotations
@@ -62,6 +65,11 @@ UNSUPPORTED_KEYWORDS = frozenset(
 )
 
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
+
+# Open braces, unbraced loop and if bodies, parentheses, brackets and unary
+# operators nest; deeper input is a ParseError at the opening token, well
+# before any recursive pass over the tree nears Python's recursion limit.
+MAX_NESTING = 128
 # binary operators, loosest-binding first
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
                  ("+", "-"), ("*", "/", "%"))
@@ -94,15 +102,10 @@ class Token(NamedTuple):
     text: str
     line: int
     col: int
-    offset: int
 
     @property
     def pos(self) -> SourcePos:
-        return _tuple_new(SourcePos, self[2:])      # (line, col, offset)
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.text)
+        return _tuple_new(SourcePos, self[2:])      # (line, col)
 
 
 def tokenize(text: str, path: str = "<source>") -> list[Token]:
@@ -111,12 +114,12 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     line = 1
-    line_start = 0          # offset of the first character of `line`
+    line_start = 0          # index of the first character of `line`
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         start = m.start(kind)
         if kind == "ident" or kind == "punct" or kind == "num":
-            append(_tuple_new(Token, (kind, m.group(kind), line, start - line_start + 1, start)))
+            append(_tuple_new(Token, (kind, m.group(kind), line, start - line_start + 1)))
         elif kind == "nl":
             line += 1
             line_start = start + 1
@@ -132,12 +135,11 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
                 line += newlines
                 line_start = start + comment.rfind("\n") + 1
         elif kind == "uident" and text[start].isalpha():
-            append(Token("ident", m.group(kind), line, start - line_start + 1, start))
+            append(Token("ident", m.group(kind), line, start - line_start + 1))
         else:
             raise ParseError(f"unexpected character {text[start]!r}", line,
                              start - line_start + 1, path)
-    n = len(text)
-    append(Token("eof", "", line, n - line_start + 1, n))
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -148,6 +150,7 @@ class _Parser:
         self.tokens = tokenize(text, path)
         self.i = 0
         self.next_loop_id = 0
+        self.depth = 0          # open nesting levels, at most MAX_NESTING
 
     # -- token plumbing --
     # The last token is EOF: advance() never moves past it, and its empty
@@ -186,6 +189,14 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col, self.path)
 
+    def nest(self, tok: Token):
+        """Open one nesting level at tok; the caller closes it with
+        `self.depth -= 1`.  A parse error unwinds the whole parse, so no
+        level needs closing on the way out."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+
     def check_supported(self, tok: Token):
         if tok.kind == "ident" and tok.text in UNSUPPORTED_KEYWORDS:
             self.error(f"unsupported construct {tok.text!r}", tok)
@@ -213,7 +224,7 @@ class _Parser:
                 params.append(self.parse_param())
         self.expect(")")
         body = self.parse_block()
-        return Function(name.text, start.text, params, body, start.pos, (start.offset, body.span[1]))
+        return Function(name.text, params, body, start.pos)
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -230,8 +241,7 @@ class _Parser:
         self.advance()
         name = self.expect_ident()
         dims = self.parse_dims(allow_empty=True)
-        end = self.tokens[self.i - 1].end
-        return Decl(type_tok.text, name.text, dims, None, name.pos, (type_tok.offset, end))
+        return Decl(name.text, dims, None, name.pos)
 
     def parse_dims(self, allow_empty: bool) -> tuple:
         dims = []
@@ -250,6 +260,7 @@ class _Parser:
 
     def parse_block(self) -> Block:
         open_tok = self.expect("{")
+        self.nest(open_tok)
         statements = []
         while not self.at("}"):
             if self.peek().kind == "eof":
@@ -259,8 +270,9 @@ class _Parser:
                 statements.extend(stmt)
             else:
                 statements.append(stmt)
-        close = self.expect("}")
-        return Block(statements, open_tok.pos, (open_tok.offset, close.end))
+        self.expect("}")
+        self.depth -= 1
+        return Block(statements, open_tok.pos)
 
     def parse_stmt(self):
         tok = self.peek()
@@ -284,18 +296,16 @@ class _Parser:
         self.error(f"expected a statement, found {tok.text!r}", tok)
 
     def parse_decl_stmt(self) -> Decl | list[Decl]:
-        type_tok = self.advance()
-        decls = [self.parse_declarator(type_tok)]
+        self.advance()
+        decls = [self.parse_declarator()]
         while self.accept(","):
-            decls.append(self.parse_declarator(type_tok))
-        semi = self.expect(";")
-        for d in decls:
-            d.span = (d.span[0], semi.end)
+            decls.append(self.parse_declarator())
+        self.expect(";")
         # a comma list stays a flat run of Decls in the enclosing block so the
         # declared names land in the enclosing scope
         return decls[0] if len(decls) == 1 else decls
 
-    def parse_declarator(self, type_tok: Token) -> Decl:
+    def parse_declarator(self) -> Decl:
         name = self.expect_ident()
         dims = self.parse_dims(allow_empty=False)
         init = None
@@ -303,8 +313,7 @@ class _Parser:
             if dims:
                 self.error("array initializers are not supported", name)
             init = self.parse_expr()
-        end = self.tokens[self.i - 1].end
-        return Decl(type_tok.text, name.text, dims, init, name.pos, (type_tok.offset, end))
+        return Decl(name.text, dims, init, name.pos)
 
     def parse_simple_stmt(self):
         start = self.peek()
@@ -312,11 +321,10 @@ class _Parser:
             call = self.parse_primary()
             if not isinstance(call, CallExpr):
                 self.error("expected a call statement", start)
-            semi = self.expect(";")
-            return CallStmt(call, start.pos, (start.offset, semi.end))
+            self.expect(";")
+            return CallStmt(call, start.pos)
         stmt = self.parse_assign_or_incdec()
-        semi = self.expect(";")
-        stmt.span = (stmt.span[0], semi.end)
+        self.expect(";")
         return stmt
 
     def parse_assign_or_incdec(self):
@@ -325,7 +333,7 @@ class _Parser:
         if self.peek().text in ("++", "--"):
             op = self.advance()
             target = VarExpr(name.text, name.pos)
-            return IncDec(target, op.text, start.pos, (start.offset, op.end))
+            return IncDec(target, op.text, start.pos)
         if self.at("["):
             target = self.parse_index(name)
         else:
@@ -334,15 +342,15 @@ class _Parser:
         if op_tok.text not in ASSIGN_OPS:
             self.error(f"expected an assignment operator, found {op_tok.text!r}", op_tok)
         self.advance()
-        value = self.parse_expr()
-        end = self.tokens[self.i - 1].end
-        return Assign(target, op_tok.text, value, start.pos, (start.offset, end))
+        return Assign(target, op_tok.text, self.parse_expr(), start.pos)
 
     def parse_index(self, name: Token) -> IndexExpr:
         indices = []
-        while self.accept("["):
+        while self.at("["):
+            self.nest(self.advance())
             indices.append(self.parse_expr())
             self.expect("]")
+            self.depth -= 1
         if len(indices) > 2:
             self.error("arrays of more than two dimensions are not supported", name)
         return IndexExpr(name.text, tuple(indices), name.pos)
@@ -356,17 +364,18 @@ class _Parser:
         else_body = None
         if self.accept("else"):
             else_body = self.parse_body()
-        end = (else_body or then_body).span[1]
-        return If(cond, then_body, else_body, start.pos, (start.offset, end))
+        return If(cond, then_body, else_body, start.pos)
 
     def parse_body(self) -> Block:
         """A loop/if body: a braced block, or a single statement wrapped in one."""
         if self.at("{"):
             return self.parse_block()
+        self.nest(self.peek())
         stmt = self.parse_stmt()
+        self.depth -= 1
         if isinstance(stmt, list):
-            return Block(stmt, stmt[0].pos, (stmt[0].span[0], stmt[-1].span[1]))
-        return Block([stmt], stmt.pos, stmt.span)
+            return Block(stmt, stmt[0].pos)
+        return Block([stmt], stmt.pos)
 
     def parse_for(self) -> ForLoop:
         start = self.expect("for")
@@ -386,7 +395,7 @@ class _Parser:
             step = self.parse_assign_or_incdec()
         self.expect(")")
         body = self.parse_body()
-        return ForLoop(init, cond, step, body, loop_id, start.pos, (start.offset, body.span[1]))
+        return ForLoop(init, cond, step, body, loop_id, start.pos)
 
     def parse_while(self) -> WhileLoop:
         start = self.expect("while")
@@ -396,7 +405,7 @@ class _Parser:
         cond = self.parse_expr()
         self.expect(")")
         body = self.parse_body()
-        return WhileLoop(cond, body, loop_id, start.pos, (start.offset, body.span[1]))
+        return WhileLoop(cond, body, loop_id, start.pos)
 
     def parse_dowhile(self) -> DoWhileLoop:
         start = self.expect("do")
@@ -407,33 +416,38 @@ class _Parser:
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
-        semi = self.expect(";")
-        return DoWhileLoop(body, cond, loop_id, start.pos, (start.offset, semi.end))
+        self.expect(";")
+        return DoWhileLoop(body, cond, loop_id, start.pos)
 
     def parse_return(self) -> Return:
         start = self.expect("return")
         value = None
         if not self.at(";"):
             value = self.parse_expr()
-        semi = self.expect(";")
-        return Return(value, start.pos, (start.offset, semi.end))
+        self.expect(";")
+        return Return(value, start.pos)
 
-    # -- expressions, precedence climbing --
+    # -- expressions, operator precedence --
 
-    def parse_expr(self, min_level: int = 0):
-        """An operand followed by binary operators of level min_level or
-        tighter (see BINARY_LEVELS); every level is left-associative."""
-        left = self.parse_primary()
+    def parse_expr(self):
+        """Operands joined by binary operators, folded on an operator stack
+        by BINARY_LEVELS; every level is left-associative.  Only a nested
+        operand recurses, so a long chain costs no stack depth."""
         tokens = self.tokens
-        op = tokens[self.i]
-        level = _LEVEL_OF.get(op.text)
-        while level is not None and level >= min_level:
-            self.i += 1
-            right = self.parse_expr(level + 1)
-            left = BinaryExpr(op.text, left, right, op.pos)
+        operands = [self.parse_primary()]
+        pending: list[tuple[int, Token]] = []   # (level, operator), levels ascending
+        while True:
             op = tokens[self.i]
             level = _LEVEL_OF.get(op.text)
-        return left
+            while pending and (level is None or pending[-1][0] >= level):
+                top = pending.pop()[1]
+                right = operands.pop()
+                operands[-1] = BinaryExpr(top.text, operands[-1], right, top.pos)
+            if level is None:
+                return operands[0]
+            self.i += 1
+            pending.append((level, op))
+            operands.append(self.parse_primary())
 
     def parse_primary(self):
         """An operand: a literal, name, index, call or parenthesized
@@ -448,13 +462,14 @@ class _Parser:
                 self.i += 1
                 after = self.tokens[self.i].text
                 if after == "(":
-                    self.i += 1
+                    self.nest(self.advance())
                     args = []
                     if not self.at(")"):
                         args.append(self.parse_expr())
                         while self.accept(","):
                             args.append(self.parse_expr())
                     self.expect(")")
+                    self.depth -= 1
                     return CallExpr(text, tuple(args), tok.pos)
                 if after == "[":
                     return self.parse_index(tok)
@@ -466,14 +481,16 @@ class _Parser:
             return NumLit(float(text), is_float, tok.pos)
         elif kind == "punct":
             text = tok.text
-            if text == "(":
+            if text == "(" or text == "!" or text == "-":
                 self.i += 1
-                inner = self.parse_expr()
-                self.expect(")")
+                self.nest(tok)
+                if text == "(":
+                    inner = self.parse_expr()
+                    self.expect(")")
+                else:
+                    inner = UnaryExpr(text, self.parse_primary(), tok.pos)
+                self.depth -= 1
                 return inner
-            if text == "!" or text == "-":
-                self.i += 1
-                return UnaryExpr(text, self.parse_primary(), tok.pos)
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
 

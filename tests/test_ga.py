@@ -37,8 +37,7 @@ class ScriptedRng:
 
 
 def sibling_tree(count):
-    nodes = [LoopNode(i, "for", None, [], "main",
-                      SourcePos(i + 1, 1, i * 10), True, f"i{i}", (i * 10, i * 10 + 9))
+    nodes = [LoopNode(i, "for", None, "main", SourcePos(i + 1, 1), True, f"i{i}")
              for i in range(count)]
     return LoopTree(nodes)
 
@@ -253,8 +252,8 @@ def test_run_ga_history_counters_are_cumulative():
 
 def test_run_ga_invalid_nested_selection_penalized_without_eval():
     # loop 1 nests inside loop 0: genome 11 is invalid
-    outer = LoopNode(0, "for", None, [1], "main", SourcePos(1, 1, 0), True, "t", (0, 99))
-    inner = LoopNode(1, "for", 0, [], "main", SourcePos(2, 1, 20), True, "i", (20, 80))
+    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), True, "t")
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), True, "i")
     tree = LoopTree([outer, inner])
     gm = GenomeMap((0, 1))
     table = {"00": 4.0, "01": 3.0, "10": 2.0}
@@ -292,7 +291,6 @@ def test_run_ga_population_clamped_and_reported():
     config = GAConfig(population=30, generations=2, rng_seed=0)
     result = run_ga(config, gm, tree, table_evaluator(table))
     assert result.effective_population == 3
-    assert result.gene_length == 3
 
 
 def test_run_ga_deterministic_and_worker_independent(tune_fixtures):

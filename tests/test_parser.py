@@ -194,25 +194,6 @@ def test_multi_declarator_stays_flat():
     assert [d.name for d in decls] == ["i", "j", "k"]
 
 
-def test_spans_lie_within_source():
-    text = "int main() {\n    int i;\n    for (i = 0; i < 3; i++) { i = i; }\n}\n"
-    program = parse(text)
-
-    def walk(stmt):
-        lo, hi = stmt.span
-        assert 0 <= lo < hi <= len(text)
-        for attr in ("body", "then_body", "else_body"):
-            child = getattr(stmt, attr, None)
-            if child is not None:
-                walk(child)
-        if hasattr(stmt, "statements"):
-            for child in stmt.statements:
-                walk(child)
-
-    for fn in program.functions:
-        walk(fn.body)
-
-
 def test_parse_determinism():
     text = "int main(){int i; for(i=0;i<9;i++){ i = i; }}"
     assert parse(text) == parse(text)
