@@ -15,7 +15,9 @@ loop whose body contains a blocking CPU-side access of v (set/define for
 copyin; ref/set/define for copyout).  Accesses inside any selected region
 never block.  When both directions fire for one (v, G) the two directives
 merge into a single copy placed at the copyout target, which is the inner
-of the two.
+of the two.  A construct names each variable once: directives of sibling
+regions hoisted to one loop merge per variable into the union of their
+directions (copyin and copyout make copy), kept by the lowest region.
 
 A genome is read once, by `regions`, into a region map: each loop id maps
 to the selected loop it lies in (itself included), or None on the CPU
@@ -107,8 +109,8 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # (origin, clause, target) -> set of vars
-    grouped: dict[tuple[int, str, int], set[str]] = {}
+    # (target, var) -> [origin, clause]; regions ascend, so the first is lowest
+    merged: dict[tuple[int, str], list] = {}
 
     # each access filed once: under its region, or its function's CPU side
     inside_of: dict[int, list[VarAccess]] = {}
@@ -141,8 +143,14 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
             else:
                 continue
             target = _hoist_target(tree, region, var_cpu, blockers)
-            grouped.setdefault((region, clause, target), set()).add(var)
+            entry = merged.setdefault((target, var), [region, clause])
+            if entry[1] != clause:
+                entry[1] = COPY
 
+    # (origin, clause, target) -> vars
+    grouped: dict[tuple[int, str, int], set[str]] = {}
+    for (target, var), (origin, clause) in merged.items():
+        grouped.setdefault((origin, clause, target), set()).add(var)
     directives = [
         DataDirective(target, clause, tuple(sorted(vars_)), origin)
         for (origin, clause, target), vars_ in grouped.items()

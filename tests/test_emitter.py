@@ -1,3 +1,6 @@
+import json
+import re
+
 import pytest
 
 import acctuner as at
@@ -126,3 +129,26 @@ def test_source_without_trailing_newline():
     annotated = emit_annotated(program, tree, "1", gm, TransferPlan(()))
     assert strip_annotations(annotated) == text
     assert "#pragma acc kernels\n" in annotated.text
+
+
+@pytest.mark.parametrize("golden", sorted((FIXTURES / "outputs").glob("plans_*.jsonl")),
+                         ids=lambda path: path.stem)
+def test_data_line_names_each_variable_once(golden):
+    # OpenACC allows a variable in one data clause per construct
+    stem = golden.stem.removeprefix("plans_")
+    directory = "stress" if stem == "stress75" else "tune"
+    program, tree, accesses = analyze((FIXTURES / directory / f"{stem}.c").read_text())
+    gm = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
+    data_lines = 0
+    for line in golden.read_text().splitlines():
+        record = json.loads(line)
+        plan = TransferPlan(tuple(
+            DataDirective(d["target_loop"], d["clause"], tuple(d["vars"]), d["origin_region"])
+            for d in record["directives"]))
+        annotated = emit_annotated(program, tree, record["genome"], gm, plan)
+        for inserted in annotated.inserted_lines:
+            if inserted.content.lstrip().startswith("#pragma acc data "):
+                names = re.findall(r"[A-Za-z_]\w*(?=[,)])", inserted.content)
+                assert len(names) == len(set(names)), (record["genome"], inserted.content)
+                data_lines += 1
+    assert data_lines > 0
