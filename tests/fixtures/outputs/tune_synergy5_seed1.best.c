@@ -16,7 +16,7 @@ int main() {
     y[0] = 1.0;
     z[0] = 1.0;
     scale = 1.5;
-    #pragma acc data copy(b) copyin(a,b) copyout(a)
+    #pragma acc data copy(a,b)
     for (t = 0; t < 5000; t++) {
         scale = scale * 1.001;
         #pragma acc data copyin(scale)
