@@ -29,6 +29,7 @@ from .analysis import (
 from .emitter import emit_annotated
 from .errors import (
     AutotunerError,
+    DomainError,
     EmptyGenome,
     ExternalOracleError,
     ModelError,
@@ -64,7 +65,7 @@ _ERROR_EXIT_CODES = (
     (ParseError, EXIT_PARSE_ERROR),
     (ProfileError, EXIT_PROFILE_ERROR),
     (EmptyGenome, EXIT_NO_OFFLOADABLE_LOOPS),
-    ((ModelError, SpawnError, ExternalOracleError), EXIT_EVALUATOR_FAILURE),
+    ((ModelError, SpawnError, ExternalOracleError, DomainError), EXIT_EVALUATOR_FAILURE),
 )
 
 

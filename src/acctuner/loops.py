@@ -212,22 +212,22 @@ class _AccessWalker:
     # -- expressions: everything read --
 
     def expr(self, e):
-        """Emit in source order, walking a stack of pending subexpressions:
-        only a call recurses, so a long operator chain costs no stack depth."""
+        """Emit in source order off a stack: only a call recurses, so chains stay flat."""
         pending = [e]
         while pending:
             e = pending.pop()
-            if isinstance(e, VarExpr):
+            kind = type(e)
+            if kind is VarExpr:
                 self.emit(e.name, REF, e.pos)
-            elif isinstance(e, BinaryExpr):
+            elif kind is BinaryExpr:
                 pending += (e.right, e.left)
-            elif isinstance(e, IndexExpr):
+            elif kind is IndexExpr:
                 norm = tuple(_normalize_index(ix) for ix in e.indices)
                 self.emit(e.name, REF, e.pos, is_array=True, indices=norm)
                 pending += reversed(e.indices)
-            elif isinstance(e, UnaryExpr):
+            elif kind is UnaryExpr:
                 pending.append(e.operand)
-            elif isinstance(e, CallExpr):
+            elif kind is CallExpr:
                 self.call(e)
 
     def call(self, e: CallExpr):
@@ -264,9 +264,7 @@ class _AccessWalker:
     def header(self, loop_id: int, *parts):
         prev = self.header_of
         self.header_of = loop_id
-        for part in parts:
-            if part is None:
-                continue
+        for part in parts:      # a missing part is None, which expr skips
             if isinstance(part, Assign):
                 self.assign(part)
             elif isinstance(part, IncDec):

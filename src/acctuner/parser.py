@@ -20,7 +20,8 @@ Expressions support || && comparisons + - * / % unary !/- literals,
 identifiers, indexing and calls.  Comments are // and /* */; lines starting
 with '#' (inserted pragmas) are skipped like comments.  Pointers, goto,
 switch/break/continue and the preprocessor are outside the subset and are
-rejected with a ParseError, as is nesting deeper than MAX_NESTING.
+rejected with a ParseError, as is nesting deeper than MAX_NESTING levels: the
+cap keeps every recursive pass over the tree far from Python's stack limit.
 
 Tokens and nodes carry only the (line, col) where they start, both 1-based;
 a tab or a '\r' counts as one column.
@@ -65,10 +66,8 @@ UNSUPPORTED_KEYWORDS = frozenset(
 )
 
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
-
-# Open braces, unbraced loop and if bodies, parentheses, brackets and unary
-# operators nest; deeper input is a ParseError at the opening token, well
-# before any recursive pass over the tree nears Python's recursion limit.
+# braces, unbraced loop and if bodies, parentheses, brackets and unary
+# operators each open a level; one past the cap fails at its opening token
 MAX_NESTING = 128
 # binary operators, loosest-binding first
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
@@ -190,9 +189,7 @@ class _Parser:
         raise ParseError(msg, tok.line, tok.col, self.path)
 
     def nest(self, tok: Token):
-        """Open one nesting level at tok; the caller closes it with
-        `self.depth -= 1`.  A parse error unwinds the whole parse, so no
-        level needs closing on the way out."""
+        """Open a level at tok; the caller closes it (a ParseError needs no closing)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
@@ -373,9 +370,8 @@ class _Parser:
         self.nest(self.peek())
         stmt = self.parse_stmt()
         self.depth -= 1
-        if isinstance(stmt, list):
-            return Block(stmt, stmt[0].pos)
-        return Block([stmt], stmt.pos)
+        statements = stmt if isinstance(stmt, list) else [stmt]
+        return Block(statements, statements[0].pos)
 
     def parse_for(self) -> ForLoop:
         start = self.expect("for")

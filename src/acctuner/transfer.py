@@ -109,8 +109,8 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # (target, var) -> [origin, clause]; regions ascend, so the first is lowest
-    merged: dict[tuple[int, str], list] = {}
+    # (target, var) -> (origin, clause); regions ascend, so the first is lowest
+    merged: dict[tuple[int, str], tuple[int, str]] = {}
 
     # each access filed once: under its region, or its function's CPU side
     inside_of: dict[int, list[VarAccess]] = {}
@@ -143,9 +143,8 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
             else:
                 continue
             target = _hoist_target(tree, region, var_cpu, blockers)
-            entry = merged.setdefault((target, var), [region, clause])
-            if entry[1] != clause:
-                entry[1] = COPY
+            origin, had = merged.setdefault((target, var), (region, clause))
+            merged[target, var] = (origin, clause if had == clause else COPY)
 
     # (origin, clause, target) -> vars
     grouped: dict[tuple[int, str, int], set[str]] = {}

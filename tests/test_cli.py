@@ -18,6 +18,7 @@ from acctuner.pipeline import (
     run_pipeline,
 )
 from acctuner.ga import GAConfig
+from acctuner.parser import MAX_NESTING
 
 from conftest import FIXTURES
 
@@ -202,6 +203,74 @@ def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     assert error["type"] == "ModelError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
     assert not (workdir / "report.json").exists()
+
+
+def test_tune_zero_simulated_time_is_evaluator_failure(workdir, capsys):
+    model = json.loads((workdir / "siblings3_model.json").read_text())
+    for cost in model["loops"].values():
+        cost.update(cpu_us_per_iter=0.0, kernel_launch_us=0.0)
+    model.update(transfer_fixed_us=0.0, transfer_us_per_kib=0.0)
+    path = workdir / "zero_model.json"
+    path.write_text(json.dumps(model))
+    code = main(tune_args(workdir, **{"--evaluator": f"sim:{path}"}))
+    assert code == EXIT_EVALUATOR_FAILURE
+    error = error_of(capsys)
+    assert error["type"] == "DomainError"
+    assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert not (workdir / "report.json").exists()
+
+
+def test_tune_long_sum(workdir):
+    # a 5,000-term left-deep chain: parsed and walked without recursion
+    source = (workdir / "siblings3.c").read_text()
+    long_sum = "a[i] = b[i]" + " + b[i]" * 4999 + ";"
+    (workdir / "siblings3.c").write_text(source.replace("a[i] = b[i] * 2.0;", long_sum))
+    assert main(tune_args(workdir)) == EXIT_OK
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["genome_map"] == [0, 1, 2]
+
+
+# (prefix, opener, column of the level it opens within it, innermost text,
+# closer, suffix): with the function's braces as level 1, `n - 1` openers
+# nest the program n levels deep
+NESTING = {
+    "blocks": ("int main(){ int x; x = 1; ", "{", 0, "x = 2;", "}", " return x; }"),
+    "for": ("int main(){ int i; int x; x = 1; ", "for(i=0;i<2;i++){", 16, "x = 2;", "}",
+            " return x; }"),
+    "unbraced_if": ("int main(){ int x; x = 1; ", "if (x) ", 7, "x = 2;", "", " return x; }"),
+    "parentheses": ("int main(){ int x; x = ", "(", 0, "1", ")", "; return x; }"),
+    "operators": ("int main(){ int a; a = 1; a = ", "a || a && a == a < a + a * (", 27, "a",
+                  ")", "; return a; }"),
+    "calls": ("int main(){ int x; x = ", "f(", 1, "1", ")", "; return x; }"),
+    "brackets": ("int main(){ int a[2]; int x; x = ", "a[", 1, "0", "]", "; return x; }"),
+    "unary": ("int main(){ int x; x = ", "!", 0, "1", "", "; return x; }"),
+}
+
+
+def nested_source(construct: str, levels: int) -> str:
+    prefix, opener, _, inner, closer, suffix = NESTING[construct]
+    return prefix + opener * (levels - 1) + inner + closer * (levels - 1) + suffix + "\n"
+
+
+@pytest.mark.parametrize("construct", sorted(NESTING))
+def test_analyze_at_nesting_limit(workdir, capsys, construct):
+    path = workdir / "deep.c"
+    path.write_text(nested_source(construct, MAX_NESTING))
+    assert main(["analyze", "--source", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["functions"] == ["main"]
+
+
+@pytest.mark.parametrize("construct", sorted(NESTING))
+def test_nesting_past_limit_is_parse_error(workdir, capsys, construct):
+    path = workdir / "deep.c"
+    path.write_text(nested_source(construct, MAX_NESTING + 1))
+    assert main(["analyze", "--source", str(path)]) == EXIT_PARSE_ERROR
+    error = error_of(capsys)
+    assert error["type"] == "ParseError"
+    assert error["exit_code"] == EXIT_PARSE_ERROR
+    prefix, opener, at = NESTING[construct][:3]
+    col = len(prefix) + len(opener) * (MAX_NESTING - 1) + at + 1
+    assert error["message"] == f"{path}:1:{col}: nesting deeper than {MAX_NESTING} levels"
 
 
 def test_tune_byte_identical_reruns(workdir):

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from acctuner.loops import DEFINE, REF, SET
 
 from conftest import FIXTURES, analyze
+from test_golden import EDGE_SOURCES
 
 
 def accesses_of(accesses, var):
@@ -195,3 +198,35 @@ def test_header_access_belongs_to_innermost_loop(path):
     # of a loop inside this one", which needs this to hold
     _, _, accesses = analyze(path.read_text())
     assert all(a.header_of is None or a.header_of == a.loop_path[-1] for a in accesses)
+
+
+# a loop of each kind under CRLF line ends and tabs, which count as one column
+CRLF_TAB_LOOPS = ("int main()\r\n{\r\n\tint i; float a[4];\r\n\ti = 0;\r\n"
+                  "\tfor (i = 0;\ti < 4; i++)\r\n\t{\r\n\t\ta[i] = i;\r\n\t}\r\n"
+                  "\twhile (i > 0) { i = i - 1; }\r\n\tdo\t{ i = i + 1; } while (i < 2);\r\n"
+                  "\treturn 0;\r\n}\r\n")
+
+
+POSITION_SOURCES = {
+    **{str(path.relative_to(FIXTURES)): path.read_text() for path in FIXTURES.rglob("*.c")},
+    "edge:crlf_tabs": EDGE_SOURCES["crlf_tabs"],
+    "crlf_tab_loops": CRLF_TAB_LOOPS,
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSITION_SOURCES))
+def test_positions_point_at_their_tokens(name):
+    text = POSITION_SOURCES[name]
+    lines = text.split("\n")
+
+    def at(pos, word):
+        # the word starts at (line, col), both 1-based, and ends there
+        return re.match(rf"{re.escape(word)}(?!\w)", lines[pos.line - 1][pos.col - 1:])
+
+    _, tree, accesses = analyze(text)
+    keyword = {"for": "for", "while": "while", "dowhile": "do"}
+    for node in tree.nodes:
+        assert at(node.header_pos, keyword[node.kind]), (node.loop_id, node.header_pos)
+    for access in accesses:
+        assert at(access.pos, access.var), (access.var, access.pos)
+    assert accesses
