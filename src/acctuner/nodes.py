@@ -1,8 +1,10 @@
 """AST node types for the C-like subset language.
 
-Every node carries the (line, col) of its first token.  Later passes need
-no more: loops are numbered, accesses are classified by kind, and the
-emitter inserts whole lines before a loop's header line.
+Every node carries one position, a (line, col) pair: where its keyword,
+brace, literal or first name is (a declaration's is its declared name), or
+an operator's own token.  Later passes need no more: loops are numbered,
+accesses are classified by kind, and the emitter inserts whole lines
+before a loop's header line.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ rejected with a ParseError, as is nesting deeper than MAX_NESTING levels: the
 cap keeps every recursive pass over the tree far from Python's stack limit.
 
 Tokens and nodes carry only the (line, col) where they start, both 1-based;
-a tab or a '\r' counts as one column.
+a tab or a carriage return counts as one column.
 """
 
 from __future__ import annotations
