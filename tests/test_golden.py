@@ -4,7 +4,9 @@ Covers the `tune` report and annotated source of every tuning fixture at
 seeds 1-3 (default GA) and of stress75 at seed 1 with 5 generations, the
 three reports that stop before emission (gate reject, no offloadable loops,
 no valid genome evaluated), the stdout of `gate`, `check` and
-`plan-transfers` on mix10, and `check` on stress75.
+`plan-transfers` on mix10, of `analyze` on mix10 and deep3, of
+`plan-transfers` on synergy5 (genome 11000, whose merged copy(a,b) is
+hoisted to loop 0), and of `check` on stress75.
 
 It pins the front end: the sha256 of `repr(tokenize(text))` and of
 `repr(parse(text))` for every `.c` under tests/fixtures/ and for a few
@@ -121,6 +123,12 @@ def _cases() -> dict[str, tuple]:
                            ("plan-transfers", ["--genome", "1011001110"])):
         cases[f"{command}_mix10"] = (
             FIXTURES / "tune", [command, "--source", "mix10.c", *extra], 0, ())
+    for stem in ("mix10", "deep3"):
+        cases[f"analyze_{stem}"] = (
+            FIXTURES / "tune", ["analyze", "--source", f"{stem}.c"], 0, ())
+    cases["plan-transfers_synergy5"] = (
+        FIXTURES / "tune", ["plan-transfers", "--source", "synergy5.c", "--genome", "11000"],
+        0, ())
     cases["check_stress75"] = (
         FIXTURES / "stress", ["check", "--source", "stress75.c"], 0, ())
     return cases
