@@ -3,12 +3,13 @@
 The same offloaded loop can pay for its host/device transfers once, or on
 every iteration of an enclosing loop, depending on where the data directive
 lands.  The planner hoists each directive to the topmost loop that contains
-no conflicting CPU-side access, and the exec counts make the payoff visible.
+no conflicting CPU-side access.  A directive runs once per entry to the
+loop it sits before, so the entry counts at its target and at its region
+make the payoff visible.
 """
 
 import acctuner as at
 from acctuner.analysis import Profile, ProfileEntry
-from acctuner.transfer import directive_exec_counts, unhoisted
 
 SOURCE = """int main() {
     int t;
@@ -45,13 +46,12 @@ for directive in plan.directives:
           f"(needed by region {directive.origin_region})")
 
 profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 64_000)})
-hoisted = directive_exec_counts(plan, tree, profile)
-forced = directive_exec_counts(unhoisted(plan), tree, profile)
 print("\nTransfer executions per program run:")
-for directive, count in hoisted.items():
-    print(f"  hoisted   {directive.clause}({','.join(directive.vars)}): {count}")
-for directive, count in forced.items():
-    print(f"  unhoisted {directive.clause}({','.join(directive.vars)}): {count}")
+for directive in plan.directives:
+    print(f"  {directive.clause}({','.join(directive.vars)}): "
+          f"{profile.entry_count(directive.target_loop)} at loop {directive.target_loop}, "
+          f"{profile.entry_count(directive.origin_region)} "
+          f"at its region loop {directive.origin_region}")
 
 annotated = at.emit_annotated(program, tree, "1", genome_map, plan)
 print("\nAnnotated source:")

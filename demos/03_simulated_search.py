@@ -29,8 +29,8 @@ result = at.run_ga(config, genome_map, tree, evaluate)
 
 print("gen  best_seconds  best_fitness  evals  cache_hits")
 for stats in result.history:
-    print(f"{stats.generation:3d}  {stats.best_seconds:12.6f}  "
-          f"{stats.best_fitness:12.6f}  {stats.evaluations_performed:5d}  "
+    print(f"{stats.gen:3d}  {stats.best_seconds:12.6f}  "
+          f"{stats.best_fitness:12.6f}  {stats.evals:5d}  "
           f"{stats.cache_hits:10d}")
 
 print(f"\nbest genome {result.best.genome} -> {result.best.seconds:.4f}s "

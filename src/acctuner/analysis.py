@@ -52,8 +52,8 @@ def load_profile(path: str | Path, tree: LoopTree | None = None) -> Profile:
     """Load a loop-count profile:
     {"loops":[{"id":0,"entry_count":1,"total_iterations":10000000}, ...]}
 
-    With a tree, every loop id must be covered; counts must be non-negative
-    integers.
+    With a tree, the records must name each of its loop ids and no other;
+    counts must be non-negative integers.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -85,6 +85,9 @@ def load_profile(path: str | Path, tree: LoopTree | None = None) -> Profile:
         missing = sorted(n.loop_id for n in tree.nodes if n.loop_id not in entries)
         if missing:
             raise ProfileError(f"profile {path}: missing loop ids {missing}")
+        unknown = sorted(set(entries).difference(n.loop_id for n in tree.nodes))
+        if unknown:
+            raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
     return Profile(entries)
 
 
@@ -112,6 +115,7 @@ def gate(tree: LoopTree, profile: Profile,
 
 @dataclass(frozen=True)
 class ParallelizabilityVerdict:
+    """One loop's verdict; a report's `verdicts` are dataclasses.asdict of these."""
     loop_id: int
     eligible: bool
     reason: str

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .analysis import (
     DEFAULT_GATE_THRESHOLD,
@@ -54,9 +55,8 @@ from .pipeline import (
     probe_parallelizable,
     render_report,
     run_pipeline,
-    verdict_dicts,
 )
-from .transfer import plan_to_dict, plan_transfers
+from .transfer import plan_transfers
 
 EXIT_USAGE = 2  # argparse's own exit code for a bad command line
 
@@ -91,18 +91,24 @@ def _add_source(p: argparse.ArgumentParser):
     p.add_argument("--source", required=True, help="C-like source file")
 
 
+# tune flag -> (GAConfig field, help); each default is the field's own
+_GA_FLAGS = {
+    "pop": ("population", "population size M"),
+    "gens": ("generations", "generation count T"),
+    "pc": ("crossover_rate", "crossover rate"),
+    "pm": ("mutation_rate", "mutation rate"),
+    "timeout": ("timeout_seconds", "per-measurement timeout in seconds"),
+    "penalty": ("penalty_seconds", "assumed seconds for timed-out or invalid individuals"),
+    "seed": ("rng_seed", "random seed"),
+    "workers": ("workers", "concurrent evaluations per generation"),
+}
+
+
 def _add_ga_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pop", type=int, default=30, help="population size M")
-    p.add_argument("--gens", type=int, default=20, help="generation count T")
-    p.add_argument("--pc", type=float, default=0.9, help="crossover rate")
-    p.add_argument("--pm", type=float, default=0.05, help="mutation rate")
-    p.add_argument("--timeout", type=float, default=180.0,
-                   help="per-measurement timeout in seconds")
-    p.add_argument("--penalty", type=float, default=1000.0,
-                   help="assumed seconds for timed-out or invalid individuals")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="concurrent evaluations per generation")
+    defaults = GAConfig()
+    for flag, (field, help_) in _GA_FLAGS.items():
+        default = getattr(defaults, field)
+        p.add_argument(f"--{flag}", type=type(default), default=default, help=help_)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -206,7 +212,7 @@ def _cmd_check(args) -> int:
             f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
     eligible = sorted(v.loop_id for v in verdicts if v.eligible)
     _emit_json({
-        "verdicts": verdict_dicts(verdicts),
+        "verdicts": [asdict(v) for v in verdicts],
         "genome_map": eligible,
         "gene_length": len(eligible),
     }, args.out)
@@ -223,7 +229,7 @@ def _genome_context(source: str):
 def _cmd_plan_transfers(args) -> int:
     program, tree, accesses, genome_map = _genome_context(args.source)
     plan = plan_transfers(program, tree, accesses, args.genome, genome_map)
-    _emit_json(plan_to_dict(plan), args.out)
+    _emit_json(asdict(plan), args.out)
     return EXIT_OK
 
 
@@ -237,16 +243,8 @@ def _cmd_emit(args) -> int:
 
 def _cmd_tune(args) -> int:
     try:
-        ga = GAConfig(
-            population=args.pop,
-            generations=args.gens,
-            crossover_rate=args.pc,
-            mutation_rate=args.pm,
-            timeout_seconds=args.timeout,
-            penalty_seconds=args.penalty,
-            rng_seed=args.seed,
-            workers=args.workers,
-        )
+        ga = GAConfig(**{field: getattr(args, flag)
+                         for flag, (field, _) in _GA_FLAGS.items()})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cfg = PipelineConfig(

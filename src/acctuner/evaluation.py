@@ -20,7 +20,7 @@ from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
-from .transfer import TransferPlan, directive_exec_counts, regions
+from .transfer import TransferPlan, regions
 
 MEASURED = "measured"
 TIMEOUT = "timeout"
@@ -124,9 +124,10 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
         total_us += work / cost.gpu_speedup
         total_us += profile.entry_count(region) * cost.kernel_launch_us
 
-    exec_counts = directive_exec_counts(plan, tree, profile)
+    # a directive's transfer runs once per arrival at its target loop's header
     for directive in plan.directives:
-        total_us += exec_counts[directive] * directive_cost_us(model, directive.vars)
+        total_us += (profile.entry_count(directive.target_loop)
+                     * directive_cost_us(model, directive.vars))
 
     return Measurement(total_us / 1e6, MEASURED)
 

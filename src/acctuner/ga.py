@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
-from .evaluation import INVALID, MEASURED, TIMEOUT, Measurement
+from .evaluation import DEFAULT_PENALTY_SECONDS, INVALID, MEASURED, TIMEOUT, Measurement
 from .loops import LoopTree
+from .shell import DEFAULT_TIMEOUT_SECONDS
 from .transfer import check_genome_valid
 
 CACHE_HIT = "cachehit"
@@ -41,8 +42,8 @@ class GAConfig:
     generations: int = 20
     crossover_rate: float = 0.9
     mutation_rate: float = 0.05
-    timeout_seconds: float = 180.0
-    penalty_seconds: float = 1000.0
+    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
+    penalty_seconds: float = DEFAULT_PENALTY_SECONDS
     rng_seed: int = 0
     workers: int = 1
 
@@ -62,6 +63,10 @@ class GAConfig:
             raise ValueError("workers must be at least 1")
 
 
+# The report writes EvaluatedIndividual (its `best`) and GenerationStats (each
+# of its `generations`) with dataclasses.asdict: field names and order are
+# report keys.
+
 @dataclass(frozen=True)
 class EvaluatedIndividual:
     genome: str
@@ -72,11 +77,11 @@ class EvaluatedIndividual:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    generation: int             # 1-based
+    gen: int                    # 1-based
     best_seconds: float
     best_fitness: float
     mean_fitness: float
-    evaluations_performed: int  # cumulative evaluator invocations
+    evals: int                  # cumulative evaluator invocations
     cache_hits: int             # cumulative individuals served from the cache
 
 
@@ -90,7 +95,7 @@ class SearchResult:
 
 
 def fitness_from_time(seconds: float, status: str = MEASURED, *,
-                      penalty_seconds: float = 1000.0) -> float:
+                      penalty_seconds: float = DEFAULT_PENALTY_SECONDS) -> float:
     """seconds**FITNESS_EXPONENT for real measurements; timeouts and invalid
     individuals are priced as if they took penalty_seconds."""
     if status in (TIMEOUT, INVALID):
@@ -226,11 +231,11 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
 
         gen_best = max(range(size), key=lambda i: (evaluated[i].fitness, -i))
         history.append(GenerationStats(
-            generation=generation,
+            gen=generation,
             best_seconds=evaluated[gen_best].seconds,
             best_fitness=evaluated[gen_best].fitness,
             mean_fitness=sum(ind.fitness for ind in evaluated) / size,
-            evaluations_performed=evaluations,
+            evals=evaluations,
             cache_hits=hits,
         ))
 

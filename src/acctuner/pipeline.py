@@ -9,7 +9,7 @@ sources.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -41,7 +41,7 @@ from .evaluation import (
     simulate_time,
     trial_file,
 )
-from .ga import FITNESS_EXPONENT, GAConfig, SearchResult, run_ga
+from .ga import FITNESS_EXPONENT, GAConfig, run_ga
 from .loops import LoopTree, build_loop_tree, extract_accesses
 from .parser import parse
 from .transfer import plan_transfers
@@ -86,11 +86,6 @@ def gate_dict(decision: GateDecision) -> dict:
     }
 
 
-def verdict_dicts(verdicts: list[ParallelizabilityVerdict]) -> list[dict]:
-    return [{"loop_id": v.loop_id, "eligible": v.eligible, "reason": v.reason}
-            for v in verdicts]
-
-
 def _config_dict(cfg: PipelineConfig) -> dict:
     return {
         "source": str(cfg.source),
@@ -106,27 +101,6 @@ def _config_dict(cfg: PipelineConfig) -> dict:
         "fitness_exponent": FITNESS_EXPONENT,
         "gate_threshold": cfg.gate_threshold,
     }
-
-
-def _search_dicts(result: SearchResult) -> tuple[list[dict], dict]:
-    generations = [
-        {
-            "gen": s.generation,
-            "best_seconds": s.best_seconds,
-            "best_fitness": s.best_fitness,
-            "mean_fitness": s.mean_fitness,
-            "evals": s.evaluations_performed,
-            "cache_hits": s.cache_hits,
-        }
-        for s in result.history
-    ]
-    best = {
-        "genome": result.best.genome,
-        "seconds": result.best.seconds,
-        "fitness": result.best.fitness,
-        "status": result.best.status,
-    }
-    return generations, best
 
 
 def load_program(path: str):
@@ -204,7 +178,7 @@ def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
         return EXIT_GATE_REJECT, "gate-reject"
 
     verdicts = check_all_parallelizable(tree, accesses)
-    report["verdicts"] = verdict_dicts(verdicts)
+    report["verdicts"] = [asdict(v) for v in verdicts]
     try:
         genome_map = build_genome_map(verdicts)
     except EmptyGenome:
@@ -215,7 +189,8 @@ def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
     result = run_ga(cfg.ga, genome_map, tree, evaluate)
     report["config"]["effective_population"] = result.effective_population
     report["genome_map"] = list(genome_map.loop_ids)
-    report["generations"], report["best"] = _search_dicts(result)
+    report["generations"] = [asdict(s) for s in result.history]
+    report["best"] = asdict(result.best)
     if result.best.status == INVALID:
         # degenerate corner: every individual of every generation was an
         # invalid nesting, so there is no code worth emitting

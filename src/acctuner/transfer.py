@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import GenomeMap, Profile
+from .analysis import GenomeMap
 from .errors import InvalidGenome
 from .loops import DEFINE, REF, SET, LoopTree, VarAccess
 from .nodes import Program
@@ -43,6 +43,9 @@ CLAUSE_ORDER = (COPY, COPYIN, COPYOUT)
 _COPYIN_BLOCKERS = (SET, DEFINE)
 _COPYOUT_BLOCKERS = (REF, SET, DEFINE)
 
+
+# The plan-transfers output is dataclasses.asdict of a TransferPlan: field
+# names and order are its keys.
 
 @dataclass(frozen=True)
 class DataDirective:
@@ -156,34 +159,3 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     ]
     directives.sort(key=lambda d: (d.target_loop, d.clause, d.vars[0]))
     return TransferPlan(tuple(directives))
-
-
-def directive_exec_counts(plan: TransferPlan, tree: LoopTree,
-                          profile: Profile) -> dict[DataDirective, int]:
-    """How many times each directive's transfer runs: once per arrival at
-    its target loop's header."""
-    return {d: profile.entry_count(d.target_loop) for d in plan.directives}
-
-
-def unhoisted(plan: TransferPlan) -> TransferPlan:
-    """The same plan with every directive forced back to its region loop
-    (what the emitted code would do without hoisting)."""
-    directives = tuple(
-        DataDirective(d.origin_region, d.clause, d.vars, d.origin_region)
-        for d in plan.directives
-    )
-    return TransferPlan(directives)
-
-
-def plan_to_dict(plan: TransferPlan) -> dict:
-    return {
-        "directives": [
-            {
-                "target_loop": d.target_loop,
-                "clause": d.clause,
-                "vars": list(d.vars),
-                "origin_region": d.origin_region,
-            }
-            for d in plan.directives
-        ]
-    }

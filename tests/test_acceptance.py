@@ -21,7 +21,7 @@ from acctuner.evaluation import (
     command_evaluate,
 )
 from acctuner.ga import GAConfig, fitness_from_time, run_ga
-from acctuner.transfer import directive_exec_counts, plan_transfers, unhoisted
+from acctuner.transfer import DataDirective, TransferPlan, plan_transfers
 
 from conftest import FIXTURES, TUNE_FIXTURES, analyze, load_fixture
 
@@ -158,11 +158,10 @@ def test_criterion_06_transfer_hoisting_benefit():
     assert [(d.clause, d.vars, d.target_loop) for d in plan.directives] == \
         [("copyin", ("b",), 0)]
 
-    hoisted_counts = directive_exec_counts(plan, tree, profile)
-    forced = unhoisted(plan)
-    forced_counts = directive_exec_counts(forced, tree, profile)
-    assert list(hoisted_counts.values()) == [1]
-    assert list(forced_counts.values()) == [1000]
+    # the same transfer left at its region loop, as without hoisting
+    forced = TransferPlan((DataDirective(1, "copyin", ("b",), 1),))
+    assert [profile.entry_count(d.target_loop) for d in plan.directives] == [1]
+    assert [profile.entry_count(d.target_loop) for d in forced.directives] == [1000]
 
     hoisted_time = at.simulate_time(model, "1", genome_map, tree, profile, plan)
     forced_time = at.simulate_time(model, "1", genome_map, tree, profile, forced)

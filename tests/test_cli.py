@@ -177,6 +177,38 @@ def test_tune_profile_error_exit(workdir, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ProfileError"
 
 
+@pytest.mark.parametrize("command", ["gate", "tune"])
+def test_profile_with_unknown_loop_is_profile_error(workdir, capsys, command):
+    # a record for a loop the program lacks: a profile of another version
+    profile = json.loads((workdir / "siblings3_profile.json").read_text())
+    profile["loops"].append({"id": 99, "entry_count": 1, "total_iterations": 1})
+    extra = workdir / "extra_profile.json"
+    extra.write_text(json.dumps(profile))
+    if command == "gate":
+        argv = ["gate", "--source", str(workdir / "siblings3.c"), "--profile", str(extra)]
+    else:
+        argv = tune_args(workdir, **{"--profile": str(extra)})
+    assert main(argv) == EXIT_PROFILE_ERROR
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["type"] == "ProfileError"
+    assert "[99]" in error["message"]
+    assert not (workdir / "report.json").exists()
+
+
+def test_tune_defaults_are_gaconfig_defaults(workdir, monkeypatch):
+    seen = []
+
+    def fake_run_pipeline(cfg):
+        seen.append(cfg)
+        return EXIT_OK, {"result": "ok"}
+
+    monkeypatch.setattr("acctuner.cli.run_pipeline", fake_run_pipeline)
+    argv = ["tune", "--source", "p.c", "--profile", "p.json", "--evaluator", "sim:m.json",
+            "--out", "best.c", "--report", "report.json"]
+    assert main(argv) == EXIT_OK
+    assert seen[0].ga == GAConfig()
+
+
 def test_tune_missing_cost_model_no_partial_report(workdir, capsys):
     report_path = workdir / "report.json"
     code = main(tune_args(workdir, **{

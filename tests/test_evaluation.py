@@ -18,7 +18,7 @@ from acctuner.evaluation import (
 from acctuner.loops import LoopNode, LoopTree
 from acctuner.nodes import SourcePos
 from acctuner.pipeline import make_cmd_evaluator
-from acctuner.transfer import DataDirective, TransferPlan, unhoisted
+from acctuner.transfer import DataDirective, TransferPlan
 
 from conftest import analyze
 
@@ -103,8 +103,9 @@ def test_unhoisted_plan_never_faster():
                       {"b": 2048.0}, 5.0, 1.0)
     gm = GenomeMap((0, 1))
     plan = TransferPlan((DataDirective(0, "copyin", ("b",), 1),))
+    unhoisted = TransferPlan((DataDirective(1, "copyin", ("b",), 1),))
     hoisted = simulate_time(model, "01", gm, tree, profile, plan)
-    forced = simulate_time(model, "01", gm, tree, profile, unhoisted(plan))
+    forced = simulate_time(model, "01", gm, tree, profile, unhoisted)
     assert forced.seconds >= hoisted.seconds
 
 

@@ -241,7 +241,7 @@ def test_run_ga_history_counters_are_cumulative():
     table = {"00": 4.0, "01": 3.0, "10": 1.0, "11": 2.0}
     config = GAConfig(population=4, generations=6, rng_seed=42)
     result = run_ga(config, gm, tree, table_evaluator(table))
-    evals = [s.evaluations_performed for s in result.history]
+    evals = [s.evals for s in result.history]
     hits = [s.cache_hits for s in result.history]
     assert evals == sorted(evals)
     assert hits == sorted(hits)

@@ -35,6 +35,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from acctuner.cli import main
 from acctuner.evaluation import load_cost_model, simulate_time
 from acctuner.parser import parse, tokenize
 from acctuner.pipeline import load_program
-from acctuner.transfer import check_genome_valid, plan_to_dict, plan_transfers
+from acctuner.transfer import check_genome_valid, plan_transfers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "outputs"
@@ -196,7 +197,7 @@ def plan_lines(stem: str) -> bytes:
     for bits in _genomes(stem, tree, genome_map):
         plan = plan_transfers(program, tree, accesses, bits, genome_map)
         seconds = simulate_time(model, bits, genome_map, tree, profile, plan).seconds
-        lines.append(json.dumps({"genome": bits, "seconds": seconds, **plan_to_dict(plan)},
+        lines.append(json.dumps({"genome": bits, "seconds": seconds, **asdict(plan)},
                                 separators=(",", ":")) + "\n")
     return "".join(lines).encode()
 

@@ -6,13 +6,7 @@ import pytest
 import acctuner as at
 from acctuner.analysis import Profile, ProfileEntry
 from acctuner.errors import InvalidGenome
-from acctuner.transfer import (
-    check_genome_valid,
-    directive_exec_counts,
-    plan_transfers,
-    regions,
-    unhoisted,
-)
+from acctuner.transfer import check_genome_valid, plan_transfers, regions
 
 from conftest import FIXTURES, analyze
 
@@ -232,8 +226,7 @@ def test_exec_counts_follow_entry_counts():
     text = (GOLDEN / "hoist.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
     profile = Profile({0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)})
-    counts = directive_exec_counts(plan, tree, profile)
-    by_clause = {d.clause: counts[d] for d in plan.directives}
+    by_clause = {d.clause: profile.entry_count(d.target_loop) for d in plan.directives}
     assert by_clause == {"copyin": 1, "copyout": 100}
 
 
@@ -241,19 +234,16 @@ def test_exec_count_zero_for_dead_loop():
     text = (GOLDEN / "copyinout.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
     profile = Profile({0: ProfileEntry(0, 0)})
-    counts = directive_exec_counts(plan, tree, profile)
-    assert all(count == 0 for count in counts.values())
+    assert all(profile.entry_count(d.target_loop) == 0 for d in plan.directives)
 
 
 def test_unhoisted_counts_dominate():
     text = (GOLDEN / "hoist.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
     profile = Profile({0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)})
-    hoisted = directive_exec_counts(plan, tree, profile)
-    forced = directive_exec_counts(unhoisted(plan), tree, profile)
-    assert sum(forced.values()) >= sum(hoisted.values())
-    for directive, count in hoisted.items():
-        assert count <= profile.entry_count(directive.origin_region)
+    for directive in plan.directives:
+        assert (profile.entry_count(directive.target_loop)
+                <= profile.entry_count(directive.origin_region))
 
 
 def test_plan_determinism_and_canonical_order(tune_fixtures):
