@@ -195,7 +195,7 @@ def test_profile_with_unknown_loop_is_profile_error(workdir, capsys, command):
     assert not (workdir / "report.json").exists()
 
 
-def test_tune_defaults_are_gaconfig_defaults(workdir, monkeypatch):
+def test_tune_defaults_are_gaconfig_defaults(monkeypatch):
     seen = []
 
     def fake_run_pipeline(cfg):
