@@ -216,6 +216,15 @@ CORPUS = [
     ("int main(){int i; int s; float a[10];"
      " for(i=0;i<10;i++){ for(s=0;s<i;s++){ a[i]=1.0; } } return s;}",
      0, False, LIVE_OUT_SCALAR),
+    # sibling nests that reuse the inner counter j: each nest's header sets j
+    # before any read, so no j leaves either outer loop live; the oracle's
+    # (function, name) read count still calls loops 0 and 2 live_out_scalar
+    pytest.param(
+        "int main(){int i; int j; int k; float a[10][10]; float b[10][10];"
+        " for(i=0;i<10;i++){ for(j=0;j<10;j++){ a[i][j]=1.0; } }"
+        " for(k=0;k<10;k++){ for(j=0;j<10;j++){ b[k][j]=1.0; } } return 0;}",
+        0, True, ELIGIBLE,
+        marks=pytest.mark.xfail(strict=True, reason="read count ignores liveness")),
 ]
 
 

@@ -192,6 +192,23 @@ def test_block_scoping_of_declarations():
     assert all(path == (0,) for _, path in tmp)
 
 
+def test_inner_block_declaration_shadows_until_the_block_ends():
+    text = """int main() {
+    float a[10];
+    {
+        float a;
+        f(a);
+    }
+    f(a);
+    return 0;
+}
+"""
+    _, _, accesses = analyze(text)
+    calls = [(a.pos.line, a.kind, a.is_array) for a in accesses
+             if a.var == "a" and a.kind != DEFINE]
+    assert calls == [(5, REF, False), (7, REF, True), (7, SET, True)]
+
+
 @pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.c")), ids=lambda p: p.name)
 def test_header_access_belongs_to_innermost_loop(path):
     # the oracle and the planner read `header_of is not None` as "a counter
