@@ -48,12 +48,12 @@ class Profile:
         return self.entries[loop_id].total_iterations
 
 
-def load_profile(path: str | Path, tree: LoopTree | None = None) -> Profile:
+def load_profile(path: str | Path, tree: LoopTree) -> Profile:
     """Load a loop-count profile:
     {"loops":[{"id":0,"entry_count":1,"total_iterations":10000000}, ...]}
 
-    With a tree, the records must name each of its loop ids and no other;
-    counts must be non-negative integers.
+    The records must name each loop id of the tree and no other; counts
+    must be non-negative integers.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -81,13 +81,12 @@ def load_profile(path: str | Path, tree: LoopTree | None = None) -> Profile:
             raise ProfileError(f"profile {path}: duplicate record for loop {loop_id}")
         entries[loop_id] = ProfileEntry(entry_count, total)
 
-    if tree is not None:
-        missing = sorted(n.loop_id for n in tree.nodes if n.loop_id not in entries)
-        if missing:
-            raise ProfileError(f"profile {path}: missing loop ids {missing}")
-        unknown = sorted(set(entries).difference(n.loop_id for n in tree.nodes))
-        if unknown:
-            raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
+    missing = [n.loop_id for n in tree.nodes if n.loop_id not in entries]
+    if missing:
+        raise ProfileError(f"profile {path}: missing loop ids {missing}")
+    unknown = sorted(set(entries).difference(n.loop_id for n in tree.nodes))
+    if unknown:
+        raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
     return Profile(entries)
 
 

@@ -47,7 +47,7 @@ class LoopNode:
     function: str
     header_pos: SourcePos
     canonical: bool
-    counter: str | None         # loop variable of a for-loop, if identifiable
+    counter: str | None         # loop variable, set only for a canonical loop
     early_exit: bool = False    # its body holds a return
 
 
@@ -86,46 +86,39 @@ class VarAccess:
     indices: tuple | None = None    # per-dimension (var|None, offset), or None
 
 
-def _is_canonical(loop: ForLoop) -> tuple[bool, str | None]:
-    """Canonical counted loop: `i = e`; `i < e` or `i <= e`; `i++` or `i += c`."""
-    counter = None
-    if isinstance(loop.step, IncDec):
-        counter = loop.step.target.name
-    elif isinstance(loop.step, Assign) and isinstance(loop.step.target, VarExpr):
-        counter = loop.step.target.name
-    elif isinstance(loop.init, Assign) and isinstance(loop.init.target, VarExpr):
-        counter = loop.init.target.name
+def _canonical_counter(loop: ForLoop) -> str | None:
+    """The counter of a canonical counted loop, else None.
 
-    if not (isinstance(loop.init, Assign) and loop.init.op == "="
-            and isinstance(loop.init.target, VarExpr)):
-        return False, counter
-    name = loop.init.target.name
-    if not (isinstance(loop.cond, BinaryExpr) and loop.cond.op in ("<", "<=")
-            and isinstance(loop.cond.left, VarExpr) and loop.cond.left.name == name):
-        return False, counter
-    step = loop.step
+    Canonical: `i = e`; `i < e` or `i <= e`; `i++` or `i += c` with c a
+    positive integer literal.
+    """
+    init, cond, step = loop.init, loop.cond, loop.step
+    if not (isinstance(init, Assign) and init.op == "=" and isinstance(init.target, VarExpr)):
+        return None
+    name = init.target.name
+    if not (isinstance(cond, BinaryExpr) and cond.op in ("<", "<=")
+            and isinstance(cond.left, VarExpr) and cond.left.name == name):
+        return None
     if isinstance(step, IncDec):
-        if step.op == "++" and step.target.name == name:
-            return True, name
-        return False, counter
+        return name if step.op == "++" and step.target.name == name else None
     if (isinstance(step, Assign) and step.op == "+=" and isinstance(step.target, VarExpr)
             and step.target.name == name and isinstance(step.value, NumLit)
             and not step.value.is_float and step.value.value > 0):
-        return True, name
-    return False, counter
+        return name
+    return None
 
 
 def build_loop_tree(program: Program) -> LoopTree:
     """Collect all loop statements into a pre-order-numbered tree."""
-    nodes: dict[int, LoopNode] = {}
+    nodes: list[LoopNode] = []
 
     def walk(stmt, parent: int | None, function: str) -> bool:
         """Add the loops in stmt; return whether stmt holds a return."""
         if isinstance(stmt, LOOP_STMTS):
-            kind = LOOP_KIND[type(stmt)]
-            canonical, counter = _is_canonical(stmt) if isinstance(stmt, ForLoop) else (False, None)
-            node = LoopNode(stmt.loop_id, kind, parent, function, stmt.pos, canonical, counter)
-            nodes[stmt.loop_id] = node
+            counter = _canonical_counter(stmt) if isinstance(stmt, ForLoop) else None
+            node = LoopNode(stmt.loop_id, LOOP_KIND[type(stmt)], parent, function,
+                            stmt.pos, counter is not None, counter)
+            nodes.append(node)
             node.early_exit = walk(stmt.body, stmt.loop_id, function)
             return node.early_exit
         if isinstance(stmt, Block):
@@ -144,7 +137,7 @@ def build_loop_tree(program: Program) -> LoopTree:
     for fn in program.functions:
         walk(fn.body, None, fn.name)
 
-    tree = LoopTree([nodes[i] for i in sorted(nodes)])
+    tree = LoopTree(nodes)
     assert [n.loop_id for n in tree.nodes] == list(range(len(tree.nodes)))
     return tree
 
@@ -170,41 +163,31 @@ def _normalize_index(expr) -> tuple | None:
     return None
 
 
-class _Scope:
-    def __init__(self, parent: "_Scope | None" = None):
-        self.parent = parent
-        self.names: dict[str, bool] = {}  # name -> is_array
-
-    def define(self, name: str, is_array: bool):
-        self.names[name] = is_array
-
-    def lookup(self, name: str) -> bool | None:
-        scope = self
-        while scope is not None:
-            if name in scope.names:
-                return scope.names[name]
-            scope = scope.parent
-        return None
-
-
 class _AccessWalker:
     def __init__(self, fn: Function, out: list[VarAccess]):
         self.fn = fn
         self.out = out
-        self.scope = _Scope()
+        self.scopes: list[dict[str, bool]] = [{}]   # name -> is_array, innermost last
         self.loop_path: tuple[int, ...] = ()    # shared by every access it covers
         self.header_of: int | None = None
 
     def run(self):
         for param in self.fn.params:
-            self.scope.define(param.name, param.is_array)
+            self.scopes[-1][param.name] = param.is_array
             self.emit(param.name, DEFINE, param.pos, is_array=param.is_array)
         self.stmt(self.fn.body)
+
+    def lookup(self, name: str) -> bool | None:
+        """Whether the innermost declaration of name is an array; None if undeclared."""
+        for names in reversed(self.scopes):
+            if name in names:
+                return names[name]
+        return None
 
     def emit(self, name: str, kind: str, pos: SourcePos,
              is_array: bool | None = None, indices: tuple | None = None):
         if is_array is None:
-            declared = self.scope.lookup(name)
+            declared = self.lookup(name)
             is_array = bool(indices) if declared is None else declared
         self.out.append(VarAccess(name, is_array, kind, pos, self.loop_path,
                                   self.fn.name, self.header_of, indices))
@@ -234,7 +217,7 @@ class _AccessWalker:
         # An array passed whole to a call may be read and written inside the
         # callee; record both, with unknown element indices.
         for arg in e.args:
-            if isinstance(arg, VarExpr) and self.scope.lookup(arg.name):
+            if isinstance(arg, VarExpr) and self.lookup(arg.name):
                 self.emit(arg.name, REF, arg.pos, is_array=True)
                 self.emit(arg.name, SET, arg.pos, is_array=True)
             else:
@@ -275,7 +258,7 @@ class _AccessWalker:
 
     def stmt(self, s):
         if isinstance(s, Decl):
-            self.scope.define(s.name, s.is_array)
+            self.scopes[-1][s.name] = s.is_array
             self.emit(s.name, DEFINE, s.pos, is_array=s.is_array)
             for dim in s.dims:
                 self.expr(dim)
@@ -307,11 +290,10 @@ class _AccessWalker:
         elif isinstance(s, Return):
             self.expr(s.value)
         elif isinstance(s, Block):
-            outer = self.scope
-            self.scope = _Scope(outer)
+            self.scopes.append({})
             for child in s.statements:
                 self.stmt(child)
-            self.scope = outer
+            self.scopes.pop()
 
 
 def extract_accesses(program: Program) -> list[VarAccess]:

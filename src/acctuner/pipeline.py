@@ -60,17 +60,16 @@ class PipelineConfig:
     profile: str
     evaluator: str                  # 'sim:<costmodel.json>' or 'cmd:<config.json>'
     ga: GAConfig
+    out: str                        # annotated best source
+    report: str                     # JSON report
     gate_threshold: int = DEFAULT_GATE_THRESHOLD
-    out: str | None = None          # annotated best source
-    report: str | None = None       # JSON report
 
 
-def _write(path: str | None, text: str):
-    if path is not None:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise OutputError(f"cannot write {path}: {exc}") from exc
+def _write(path: str, text: str):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc}") from exc
 
 
 def render_report(report: dict) -> str:

@@ -38,9 +38,13 @@ TWO_LOOPS = ("int main(){int i; int j;"
 
 # ---- profile loading ----
 
+def one_loop_tree():
+    return analyze(ONE_LOOP)[1]
+
+
 def test_load_profile_single_record(tmp_path):
     path = write_profile(tmp_path / "p.json", [(0, 1, 10_000_000)])
-    profile = load_profile(path)
+    profile = load_profile(path, one_loop_tree())
     assert profile.entry_count(0) == 1
     assert profile.total_iterations(0) == 10_000_000
 
@@ -56,20 +60,20 @@ def test_profile_missing_loop(tmp_path):
 def test_profile_negative_count(tmp_path):
     path = write_profile(tmp_path / "p.json", [(0, 1, -3)])
     with pytest.raises(ProfileError):
-        load_profile(path)
+        load_profile(path, one_loop_tree())
 
 
 def test_profile_malformed_record(tmp_path):
     path = tmp_path / "p.json"
     path.write_text('{"loops":[{"id":0,"entry_count":1}]}')
     with pytest.raises(ProfileError):
-        load_profile(path)
+        load_profile(path, one_loop_tree())
 
 
 def test_profile_duplicate_record(tmp_path):
     path = write_profile(tmp_path / "p.json", [(0, 1, 5), (0, 1, 6)])
     with pytest.raises(ProfileError):
-        load_profile(path)
+        load_profile(path, one_loop_tree())
 
 
 # ---- gate ----

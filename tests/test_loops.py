@@ -74,7 +74,7 @@ def test_canonical_flags():
 """
     _, tree, _ = analyze(text)
     assert [n.canonical for n in tree.nodes] == [True, True, False, False, False]
-    assert [n.counter for n in tree.nodes] == ["i", "j", "k", "m", None]
+    assert [n.counter for n in tree.nodes] == ["i", "j", None, None, None]
 
 
 def test_array_assignment_classification():
