@@ -229,6 +229,22 @@ CORPUS = [
         " for(k=0;k<10;k++){ for(j=0;j<10;j++){ b[k][j]=1.0; } } return 0;}",
         0, True, ELIGIBLE,
         marks=pytest.mark.xfail(strict=True, reason="read count ignores liveness")),
+    # j is read in the body before the nested header resets it, so iteration
+    # 1 reads the 100 that iteration 0 left; the oracle exempts header-only
+    # writes and calls loop 0 eligible, and its plan has no copyin(j)
+    pytest.param(
+        "int main(){int i; int j; float a[100]; float b[100][100]; j = 5;"
+        " for(i=0;i<100;i++){ a[i] = j; for(j=0;j<100;j++){ b[i][j] = 1.0; } }"
+        " return 0;}",
+        0, False, SCALAR_REDUCTION,
+        marks=pytest.mark.xfail(strict=True, reason="no upward-exposed use test")),
+    # the counter is read after the loop, but the planner keeps it on the GPU,
+    # so the host i is never written; the oracle calls loop 0 eligible
+    pytest.param(
+        "int main(){int i; int s; float a[100];"
+        " for(i=0;i<100;i++){ a[i] = 1.0; } s = i; return s;}",
+        0, False, LIVE_OUT_SCALAR,
+        marks=pytest.mark.xfail(strict=True, reason="no liveness of the counter")),
 ]
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+import sys
 
 import pytest
 
@@ -323,3 +325,53 @@ int main() {
     assert ("copyin", ("x",)) in clauses
     assert ("copyout", ("y",)) in clauses
     assert all(d.target_loop == 1 for d in plan.directives)
+
+
+# ---- no variable in two nested data constructs ----
+
+PLAN_GOLDENS = sorted((FIXTURES / "outputs").glob("plans_*.jsonl"))
+
+
+def nested_names(tree, directives):
+    """(var, outer, inner) for each variable that (target loop, vars) pairs
+    name at a loop and again at a loop nested in it."""
+    targets: dict[str, list[int]] = {}
+    for target, vars_ in directives:
+        for var in vars_:
+            targets.setdefault(var, []).append(target)
+    return [(var, outer, inner) for var, loops in targets.items()
+            for inner in loops for outer in loops if outer in tree.ancestors(inner)]
+
+
+@pytest.mark.parametrize("golden", PLAN_GOLDENS, ids=lambda p: p.stem)
+def test_plan_goldens_name_no_variable_in_nested_constructs(golden):
+    stem = golden.stem.removeprefix("plans_")
+    directory = "stress" if stem == "stress75" else "tune"
+    _, tree, _ = analyze((FIXTURES / directory / f"{stem}.c").read_text())
+    lines = golden.read_text().splitlines()
+    assert lines
+    for line in lines:
+        plan = json.loads(line)
+        pairs = [(d["target_loop"], d["vars"]) for d in plan["directives"]]
+        assert nested_names(tree, pairs) == [], plan["genome"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gen_large_plans_name_no_variable_in_nested_constructs(seed):
+    sys.path.insert(0, str(FIXTURES.parents[1] / "bench"))
+    try:
+        import gen_large
+    finally:
+        sys.path.pop(0)
+    program, tree, accesses = analyze(gen_large.generate(seed)["source"])
+    gm = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
+    rng = random.Random(seed)
+    planned = 0
+    while planned < 40:
+        bits = "".join(rng.choice("01") for _ in range(len(gm)))
+        if not check_genome_valid(bits, gm, tree):
+            continue
+        plan = plan_transfers(program, tree, accesses, bits, gm)
+        pairs = [(d.target_loop, d.vars) for d in plan.directives]
+        assert nested_names(tree, pairs) == [], bits
+        planned += 1
