@@ -32,7 +32,7 @@ accesses = at.extract_accesses(program)
 print("Loop tree (ids are assigned in textual pre-order):")
 for node in tree.nodes:
     parent = "top level" if node.parent is None else f"inside loop {node.parent}"
-    canonical = "canonical" if node.canonical else "not canonical"
+    canonical = "not canonical" if node.counter is None else "canonical"
     print(f"  loop {node.loop_id}: {node.kind} at line {node.header_pos.line}, "
           f"{parent}, {canonical}, counter={node.counter}")
 

@@ -142,12 +142,11 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
                      read_counts: Counter[tuple[str, str]]) -> ParallelizabilityVerdict:
     """Verdict of one loop from the accesses that lie inside it and the
     number of reads of each (function, variable) pair."""
-    if loop.kind != "for" or not loop.canonical:
+    counter = loop.counter
+    if counter is None:
         return ParallelizabilityVerdict(loop.loop_id, False, NOT_CANONICAL_FOR)
     if loop.early_exit:
         return ParallelizabilityVerdict(loop.loop_id, False, EARLY_EXIT)
-
-    counter = loop.counter
 
     by_var: dict[str, list[VarAccess]] = {}
     for a in inside:

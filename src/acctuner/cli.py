@@ -168,7 +168,7 @@ def _cmd_analyze(args) -> int:
                 "function": n.function,
                 "line": n.header_pos.line,
                 "col": n.header_pos.col,
-                "canonical": n.canonical,
+                "canonical": n.counter is not None,
             }
             for n in tree.nodes
         ],

@@ -18,20 +18,17 @@ from .nodes import (
     CallExpr,
     CallStmt,
     Decl,
-    ForLoop,
     Function,
     If,
     IncDec,
     IndexExpr,
-    LOOP_KIND,
-    LOOP_STMTS,
+    Loop,
     NumLit,
     Program,
     Return,
     SourcePos,
     UnaryExpr,
     VarExpr,
-    WhileLoop,
 )
 
 DEFINE = "define"
@@ -46,8 +43,7 @@ class LoopNode:
     parent: int | None
     function: str
     header_pos: SourcePos
-    canonical: bool
-    counter: str | None         # loop variable, set only for a canonical loop
+    counter: str | None         # loop variable; set only for a canonical loop
     early_exit: bool = False    # its body holds a return
 
 
@@ -86,11 +82,12 @@ class VarAccess:
     indices: tuple | None = None    # per-dimension (var|None, offset), or None
 
 
-def _canonical_counter(loop: ForLoop) -> str | None:
+def _canonical_counter(loop: Loop) -> str | None:
     """The counter of a canonical counted loop, else None.
 
-    Canonical: `i = e`; `i < e` or `i <= e`; `i++` or `i += c` with c a
-    positive integer literal.
+    Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i++` or
+    `i += c` with c a positive integer literal.  A while or do-while loop
+    has no init, so it is never canonical.
     """
     init, cond, step = loop.init, loop.cond, loop.step
     if not (isinstance(init, Assign) and init.op == "=" and isinstance(init.target, VarExpr)):
@@ -114,10 +111,9 @@ def build_loop_tree(program: Program) -> LoopTree:
 
     def walk(stmt, parent: int | None, function: str) -> bool:
         """Add the loops in stmt; return whether stmt holds a return."""
-        if isinstance(stmt, LOOP_STMTS):
-            counter = _canonical_counter(stmt) if isinstance(stmt, ForLoop) else None
-            node = LoopNode(stmt.loop_id, LOOP_KIND[type(stmt)], parent, function,
-                            stmt.pos, counter is not None, counter)
+        if isinstance(stmt, Loop):
+            node = LoopNode(stmt.loop_id, stmt.kind, parent, function, stmt.pos,
+                            _canonical_counter(stmt))
             nodes.append(node)
             node.early_exit = walk(stmt.body, stmt.loop_id, function)
             return node.early_exit
@@ -272,18 +268,15 @@ class _AccessWalker:
             self.stmt(s.then_body)
             if s.else_body is not None:
                 self.stmt(s.else_body)
-        elif isinstance(s, LOOP_STMTS):
+        elif isinstance(s, Loop):
             outer = self.loop_path
             self.loop_path = outer + (s.loop_id,)
-            if isinstance(s, ForLoop):
+            if s.kind == "dowhile":     # the condition follows the body
+                self.stmt(s.body)
+                self.header(s.loop_id, s.cond)
+            else:                       # a while loop has no init or step
                 self.header(s.loop_id, s.init, s.cond, s.step)
                 self.stmt(s.body)
-            elif isinstance(s, WhileLoop):
-                self.header(s.loop_id, s.cond)
-                self.stmt(s.body)
-            else:   # do-while: the condition follows the body
-                self.stmt(s.body)
-                self.header(s.loop_id, s.cond)
             self.loop_path = outer
         elif isinstance(s, CallStmt):
             self.call(s.call)

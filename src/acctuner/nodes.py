@@ -1,10 +1,10 @@
 """AST node types for the C-like subset language.
 
-Every node carries one position, a (line, col) pair: where its keyword,
-brace, literal or first name is (a declaration's is its declared name), or
-an operator's own token.  Later passes need no more: loops are numbered,
-accesses are classified by kind, and the emitter inserts whole lines
-before a loop's header line.
+A node holds what a later pass reads.  Four kinds carry a position, a
+(line, col) pair: `VarExpr` and `IndexExpr` at their name and `Decl` at its
+declared name, which every access records, and `Loop` at its keyword, where
+the emitter inserts whole lines before the loop's header line.  No other
+node has one.  All three loop kinds are one `Loop`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 
 class SourcePos(NamedTuple):
-    """A light record: the parser builds one for every node and token."""
+    """A light record: the parser builds one for every token."""
     line: int      # 1-based
     col: int       # 1-based
 
@@ -27,7 +27,6 @@ class SourcePos(NamedTuple):
 class NumLit:
     value: float
     is_float: bool
-    pos: SourcePos
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -47,7 +46,6 @@ class IndexExpr:
 class UnaryExpr:
     op: str                 # '!' or '-'
     operand: object
-    pos: SourcePos
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -55,14 +53,12 @@ class BinaryExpr:
     op: str
     left: object
     right: object
-    pos: SourcePos
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class CallExpr:
     name: str
     args: tuple
-    pos: SourcePos
 
 
 # ---- statements ----
@@ -84,14 +80,12 @@ class Assign:
     target: object          # VarExpr or IndexExpr
     op: str                 # '=' '+=' '-=' '*=' '/='
     value: object
-    pos: SourcePos
 
 
 @dataclass
 class IncDec:
     target: VarExpr
     op: str                 # '++' or '--'
-    pos: SourcePos
 
 
 @dataclass
@@ -99,31 +93,15 @@ class If:
     cond: object
     then_body: "Block"
     else_body: "Block | None"
-    pos: SourcePos
 
 
 @dataclass
-class ForLoop:
-    init: Assign | None
+class Loop:
+    kind: str                       # 'for' | 'while' | 'dowhile'
+    init: Assign | None             # None unless a for loop has one
     cond: object | None
-    step: Assign | IncDec | None
+    step: Assign | IncDec | None    # None unless a for loop has one
     body: "Block"
-    loop_id: int
-    pos: SourcePos
-
-
-@dataclass
-class WhileLoop:
-    cond: object
-    body: "Block"
-    loop_id: int
-    pos: SourcePos
-
-
-@dataclass
-class DoWhileLoop:
-    body: "Block"
-    cond: object
     loop_id: int
     pos: SourcePos
 
@@ -131,19 +109,16 @@ class DoWhileLoop:
 @dataclass
 class CallStmt:
     call: CallExpr
-    pos: SourcePos
 
 
 @dataclass
 class Return:
     value: object | None
-    pos: SourcePos
 
 
 @dataclass
 class Block:
     statements: list
-    pos: SourcePos
 
 
 @dataclass
@@ -151,7 +126,6 @@ class Function:
     name: str
     params: list[Decl]
     body: Block
-    pos: SourcePos
 
 
 @dataclass
@@ -159,7 +133,3 @@ class Program:
     functions: list[Function] = field(default_factory=list)
     source_text: str = ""
 
-
-LOOP_STMTS = (ForLoop, WhileLoop, DoWhileLoop)
-
-LOOP_KIND = {ForLoop: "for", WhileLoop: "while", DoWhileLoop: "dowhile"}

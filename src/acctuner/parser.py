@@ -23,8 +23,9 @@ switch/break/continue and the preprocessor are outside the subset and are
 rejected with a ParseError, as is nesting deeper than MAX_NESTING levels: the
 cap keeps every recursive pass over the tree far from Python's stack limit.
 
-Tokens and nodes carry only the (line, col) where they start, both 1-based;
-a tab or a carriage return counts as one column.
+Tokens, and the nodes that keep a position (see nodes.py), carry only the
+(line, col) where they start, both 1-based; a tab or a carriage return
+counts as one column.
 """
 
 from __future__ import annotations
@@ -40,19 +41,17 @@ from .nodes import (
     CallExpr,
     CallStmt,
     Decl,
-    DoWhileLoop,
-    ForLoop,
     Function,
     If,
     IncDec,
     IndexExpr,
+    Loop,
     NumLit,
     Program,
     Return,
     SourcePos,
     UnaryExpr,
     VarExpr,
-    WhileLoop,
 )
 
 TYPE_KEYWORDS = ("int", "float", "double")
@@ -220,8 +219,7 @@ class _Parser:
             while self.accept(","):
                 params.append(self.parse_param())
         self.expect(")")
-        body = self.parse_block()
-        return Function(name.text, params, body, start.pos)
+        return Function(name.text, params, self.parse_block())
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -256,8 +254,7 @@ class _Parser:
         return tuple(dims)
 
     def parse_block(self) -> Block:
-        open_tok = self.expect("{")
-        self.nest(open_tok)
+        self.nest(self.expect("{"))
         statements = []
         while not self.at("}"):
             if self.peek().kind == "eof":
@@ -269,7 +266,7 @@ class _Parser:
                 statements.append(stmt)
         self.expect("}")
         self.depth -= 1
-        return Block(statements, open_tok.pos)
+        return Block(statements)
 
     def parse_stmt(self):
         tok = self.peek()
@@ -278,12 +275,8 @@ class _Parser:
             return self.parse_decl_stmt()
         if tok.text == "if":
             return self.parse_if()
-        if tok.text == "for":
-            return self.parse_for()
-        if tok.text == "while":
-            return self.parse_while()
-        if tok.text == "do":
-            return self.parse_dowhile()
+        if tok.text in ("for", "while", "do"):
+            return self.parse_loop()
         if tok.text == "return":
             return self.parse_return()
         if tok.text == "{":
@@ -319,18 +312,15 @@ class _Parser:
             if not isinstance(call, CallExpr):
                 self.error("expected a call statement", start)
             self.expect(";")
-            return CallStmt(call, start.pos)
+            return CallStmt(call)
         stmt = self.parse_assign_or_incdec()
         self.expect(";")
         return stmt
 
     def parse_assign_or_incdec(self):
-        start = self.peek()
         name = self.expect_ident()
         if self.peek().text in ("++", "--"):
-            op = self.advance()
-            target = VarExpr(name.text, name.pos)
-            return IncDec(target, op.text, start.pos)
+            return IncDec(VarExpr(name.text, name.pos), self.advance().text)
         if self.at("["):
             target = self.parse_index(name)
         else:
@@ -339,7 +329,7 @@ class _Parser:
         if op_tok.text not in ASSIGN_OPS:
             self.error(f"expected an assignment operator, found {op_tok.text!r}", op_tok)
         self.advance()
-        return Assign(target, op_tok.text, self.parse_expr(), start.pos)
+        return Assign(target, op_tok.text, self.parse_expr())
 
     def parse_index(self, name: Token) -> IndexExpr:
         indices = []
@@ -353,7 +343,7 @@ class _Parser:
         return IndexExpr(name.text, tuple(indices), name.pos)
 
     def parse_if(self) -> If:
-        start = self.expect("if")
+        self.expect("if")
         self.expect("(")
         cond = self.parse_expr()
         self.expect(")")
@@ -361,7 +351,7 @@ class _Parser:
         else_body = None
         if self.accept("else"):
             else_body = self.parse_body()
-        return If(cond, then_body, else_body, start.pos)
+        return If(cond, then_body, else_body)
 
     def parse_body(self) -> Block:
         """A loop/if body: a braced block, or a single statement wrapped in one."""
@@ -370,58 +360,45 @@ class _Parser:
         self.nest(self.peek())
         stmt = self.parse_stmt()
         self.depth -= 1
-        statements = stmt if isinstance(stmt, list) else [stmt]
-        return Block(statements, statements[0].pos)
+        return Block(stmt if isinstance(stmt, list) else [stmt])
 
-    def parse_for(self) -> ForLoop:
-        start = self.expect("for")
+    def parse_loop(self) -> Loop:
+        """A for, while or do-while loop, numbered before the loops in its body."""
+        start = self.advance()
         loop_id = self.next_loop_id
         self.next_loop_id += 1
+        if start.text == "do":
+            body = self.parse_body()
+            self.expect("while")
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            self.expect(";")
+            return Loop("dowhile", None, cond, None, body, loop_id, start.pos)
+        init = step = None
         self.expect("(")
-        init = None
-        if not self.at(";"):
-            init = self.parse_assign_or_incdec()
-            if isinstance(init, IncDec):
-                self.error("for-loop initializer must be an assignment", start)
-        self.expect(";")
-        cond = None if self.at(";") else self.parse_expr()
-        self.expect(";")
-        step = None
-        if not self.at(")"):
-            step = self.parse_assign_or_incdec()
+        if start.text == "while":
+            cond = self.parse_expr()
+        else:
+            if not self.at(";"):
+                init = self.parse_assign_or_incdec()
+                if isinstance(init, IncDec):
+                    self.error("for-loop initializer must be an assignment", start)
+            self.expect(";")
+            cond = None if self.at(";") else self.parse_expr()
+            self.expect(";")
+            if not self.at(")"):
+                step = self.parse_assign_or_incdec()
         self.expect(")")
-        body = self.parse_body()
-        return ForLoop(init, cond, step, body, loop_id, start.pos)
-
-    def parse_while(self) -> WhileLoop:
-        start = self.expect("while")
-        loop_id = self.next_loop_id
-        self.next_loop_id += 1
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        body = self.parse_body()
-        return WhileLoop(cond, body, loop_id, start.pos)
-
-    def parse_dowhile(self) -> DoWhileLoop:
-        start = self.expect("do")
-        loop_id = self.next_loop_id
-        self.next_loop_id += 1
-        body = self.parse_body()
-        self.expect("while")
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        self.expect(";")
-        return DoWhileLoop(body, cond, loop_id, start.pos)
+        return Loop(start.text, init, cond, step, self.parse_body(), loop_id, start.pos)
 
     def parse_return(self) -> Return:
-        start = self.expect("return")
+        self.expect("return")
         value = None
         if not self.at(";"):
             value = self.parse_expr()
         self.expect(";")
-        return Return(value, start.pos)
+        return Return(value)
 
     # -- expressions, operator precedence --
 
@@ -431,14 +408,13 @@ class _Parser:
         operand recurses, so a long chain costs no stack depth."""
         tokens = self.tokens
         operands = [self.parse_primary()]
-        pending: list[tuple[int, Token]] = []   # (level, operator), levels ascending
+        pending: list[tuple[int, str]] = []     # (level, operator), levels ascending
         while True:
-            op = tokens[self.i]
-            level = _LEVEL_OF.get(op.text)
+            op = tokens[self.i].text
+            level = _LEVEL_OF.get(op)
             while pending and (level is None or pending[-1][0] >= level):
-                top = pending.pop()[1]
                 right = operands.pop()
-                operands[-1] = BinaryExpr(top.text, operands[-1], right, top.pos)
+                operands[-1] = BinaryExpr(pending.pop()[1], operands[-1], right)
             if level is None:
                 return operands[0]
             self.i += 1
@@ -466,7 +442,7 @@ class _Parser:
                             args.append(self.parse_expr())
                     self.expect(")")
                     self.depth -= 1
-                    return CallExpr(text, tuple(args), tok.pos)
+                    return CallExpr(text, tuple(args))
                 if after == "[":
                     return self.parse_index(tok)
                 return VarExpr(text, tok.pos)
@@ -474,7 +450,7 @@ class _Parser:
             self.i += 1
             text = tok.text
             is_float = "." in text or "e" in text or "E" in text
-            return NumLit(float(text), is_float, tok.pos)
+            return NumLit(float(text), is_float)
         elif kind == "punct":
             text = tok.text
             if text == "(" or text == "!" or text == "-":
@@ -484,7 +460,7 @@ class _Parser:
                     inner = self.parse_expr()
                     self.expect(")")
                 else:
-                    inner = UnaryExpr(text, self.parse_primary(), tok.pos)
+                    inner = UnaryExpr(text, self.parse_primary())
                 self.depth -= 1
                 return inner
         self.error(f"expected an expression, found {tok.text!r}", tok)

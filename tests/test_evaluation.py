@@ -24,7 +24,7 @@ from conftest import analyze
 
 
 def single_loop_setup():
-    tree = LoopTree([LoopNode(0, "for", None, "main", SourcePos(1, 1), True, "i")])
+    tree = LoopTree([LoopNode(0, "for", None, "main", SourcePos(1, 1), "i")])
     profile = Profile({0: ProfileEntry(1, 1_000_000)})
     return tree, profile, GenomeMap((0,))
 
@@ -56,8 +56,8 @@ def test_simulate_speedup_one_neutrality():
 
 
 def test_simulate_nested_region_sums_subtree():
-    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), True, "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), True, "i")
+    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i")
     tree = LoopTree([outer, inner])
     profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
     model = CostModel({0: LoopCost(2.0, 4.0, 50.0), 1: LoopCost(1.0, 4.0, 50.0)},
@@ -95,8 +95,8 @@ def test_simulate_purity():
 
 
 def test_unhoisted_plan_never_faster():
-    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), True, "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), True, "i")
+    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i")
     tree = LoopTree([outer, inner])
     profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
     model = CostModel({0: LoopCost(0.0, 1.0, 0.0), 1: LoopCost(1.0, 2.0, 0.0)},

@@ -41,7 +41,7 @@ def test_while_wrapping_for_numbering():
         "int main(){int c; int i; c = 1;"
         " while(c < 10){ for(i=0;i<3;i++){} c = c + 1; }}")
     assert tree.node(0).kind == "while"
-    assert tree.node(0).canonical is False
+    assert tree.node(0).counter is None
     assert tree.node(1).kind == "for"
     assert tree.node(1).parent == 0
 
@@ -73,7 +73,6 @@ def test_canonical_flags():
 }
 """
     _, tree, _ = analyze(text)
-    assert [n.canonical for n in tree.nodes] == [True, True, False, False, False]
     assert [n.counter for n in tree.nodes] == ["i", "j", None, None, None]
 
 

@@ -2,7 +2,7 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import ParseError
-from acctuner.nodes import Decl
+from acctuner.nodes import Decl, Loop
 from acctuner.parser import parse
 
 
@@ -12,7 +12,7 @@ def test_minimal_program():
     tree = at.build_loop_tree(program)
     assert len(tree.nodes) == 1
     node = tree.node(0)
-    assert node.kind == "for" and node.canonical and node.loop_id == 0
+    assert node.kind == "for" and node.counter == "i" and node.loop_id == 0
 
 
 def test_empty_input():
@@ -183,8 +183,9 @@ def test_statement_variety_roundtrip():
     assert [p.name for p in fn.params] == ["n", "data"]
     assert fn.params[1].is_array
     kinds = [type(s).__name__ for s in fn.body.statements]
-    assert "If" in kinds and "ForLoop" in kinds and "WhileLoop" in kinds
-    assert "DoWhileLoop" in kinds and "CallStmt" in kinds and "Return" in kinds
+    assert "If" in kinds and "CallStmt" in kinds and "Return" in kinds
+    loops = [s.kind for s in fn.body.statements if isinstance(s, Loop)]
+    assert loops == ["for", "while", "dowhile"]
 
 
 def test_multi_declarator_stays_flat():
