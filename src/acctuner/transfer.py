@@ -18,6 +18,11 @@ merge into a single copy placed at the copyout target, which is the inner
 of the two.  A construct names each variable once: directives of sibling
 regions hoisted to one loop merge per variable into the union of their
 directions (copyin and copyout make copy), kept by the lowest region.
+No variable is named at a loop and again at a loop nested in it, since a
+clause for a variable already on the device transfers nothing.  A target
+that contains another directive's target or feeding region for the same
+variable is lowered: each region that fed it gets back its own clause at
+itself, its unhoisted and always sound place.
 
 A genome is read once, by `regions`, into a region map: each loop id maps
 to the selected loop it lies in (itself included), or None on the CPU
@@ -112,8 +117,8 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # (target, var) -> (origin, clause); regions ascend, so the first is lowest
-    merged: dict[tuple[int, str], tuple[int, str]] = {}
+    # (target, var) -> the (region, clause) pairs that fed it, regions ascending
+    fed: dict[tuple[int, str], list[tuple[int, str]]] = {}
 
     # each access filed once: under its region, or its function's CPU side
     inside_of: dict[int, list[VarAccess]] = {}
@@ -146,13 +151,29 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
             else:
                 continue
             target = _hoist_target(tree, region, var_cpu, blockers)
-            origin, had = merged.setdefault((target, var), (region, clause))
-            merged[target, var] = (origin, clause if had == clause else COPY)
+            fed.setdefault((target, var), []).append((region, clause))
 
-    # (origin, clause, target) -> vars
+    # per variable, each target and feeding region -> the target it belongs
+    # to.  Lowered directives land on regions, which contain no other target
+    # or region, so one pass leaves no variable in two nested constructs.
+    owners: dict[str, dict[int, int]] = {}
+    for (target, var), feeders in fed.items():
+        owner = owners.setdefault(var, {})
+        owner.update((region, target) for region, _ in feeders)
+        owner[target] = target
+    for var, owner in owners.items():
+        lowered = {outer for loop, target in owner.items() for outer in tree.ancestors(loop)
+                   if outer != target and owner.get(outer) == outer}
+        for target in lowered:
+            for region, clause in fed.pop((target, var)):
+                fed[region, var] = [(region, clause)]
+
+    # (origin, clause, target) -> vars; the lowest feeding region is the origin
     grouped: dict[tuple[int, str, int], set[str]] = {}
-    for (target, var), (origin, clause) in merged.items():
-        grouped.setdefault((origin, clause, target), set()).add(var)
+    for (target, var), feeders in fed.items():
+        clauses = {clause for _, clause in feeders}
+        clause = clauses.pop() if len(clauses) == 1 else COPY
+        grouped.setdefault((feeders[0][0], clause, target), set()).add(var)
     directives = [
         DataDirective(target, clause, tuple(sorted(vars_)), origin)
         for (origin, clause, target), vars_ in grouped.items()

@@ -343,6 +343,52 @@ def nested_names(tree, directives):
             for inner in loops for outer in loops if outer in tree.ancestors(inner)]
 
 
+NESTED_CLAUSE = """int main() {
+    int k; int t; int i; int j; int m;
+    float v[100]; float w[100]; float u[100]; float s;
+    for (k = 0; k < 100; k++) { v[k] = 1.0; }
+    for (t = 0; t < 10; t++) {
+        for (i = 0; i < 100; i++) { w[i] = v[i]; }
+        for (j = 0; j < 100; j++) { v[j] = 2.0; }
+        THIRD
+        s = v[0];
+    }
+    return 0;
+}
+"""
+
+
+def test_outer_clause_is_lowered_below_a_nested_one():
+    # region 2's copyin(v) would hoist to loop 1 (not eligible), and region
+    # 3's copyout(v) stays at loop 3, blocked by s = v[0]; inside loop 1's
+    # data region v is present, so copyout(v) would transfer nothing
+    text = NESTED_CLAUSE.replace("THIRD", "")
+    _, tree, _, gm, plan = plan_for(text, "011")
+    assert gm.loop_ids == (0, 2, 3)
+    assert directive_tuples(plan) == [
+        ("copyout", ("w",), 1, 2),
+        ("copyin", ("v",), 2, 2),
+        ("copyout", ("v",), 3, 3),
+    ]
+    assert nested_names(tree, [(d.target_loop, d.vars) for d in plan.directives]) == []
+
+
+def test_lowered_clause_goes_back_to_every_region_that_fed_it():
+    # regions 2 and 4 both hoist copyin(v) to loop 1, where it merges; each
+    # needs its own copyin(v) once loop 1's clause is lowered
+    text = NESTED_CLAUSE.replace("THIRD", "for (m = 0; m < 100; m++) { u[m] = v[m]; }")
+    _, tree, _, gm, plan = plan_for(text, "0111")
+    assert gm.loop_ids == (0, 2, 3, 4)
+    assert directive_tuples(plan) == [
+        ("copyout", ("u",), 1, 4),
+        ("copyout", ("w",), 1, 2),
+        ("copyin", ("v",), 2, 2),
+        ("copyout", ("v",), 3, 3),
+        ("copyin", ("v",), 4, 4),
+    ]
+    assert nested_names(tree, [(d.target_loop, d.vars) for d in plan.directives]) == []
+
+
 @pytest.mark.parametrize("golden", PLAN_GOLDENS, ids=lambda p: p.stem)
 def test_plan_goldens_name_no_variable_in_nested_constructs(golden):
     stem = golden.stem.removeprefix("plans_")
