@@ -117,7 +117,9 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # (target, var) -> the (region, clause) pairs that fed it, regions ascending
+    # (target, var) -> (origin, clause); regions ascend, so the first is lowest
+    merged: dict[tuple[int, str], tuple[int, str]] = {}
+    # (target, var) -> the (region, clause) pairs hoisted to a loop above them
     fed: dict[tuple[int, str], list[tuple[int, str]]] = {}
 
     # each access filed once: under its region, or its function's CPU side
@@ -151,29 +153,31 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
             else:
                 continue
             target = _hoist_target(tree, region, var_cpu, blockers)
-            fed.setdefault((target, var), []).append((region, clause))
+            origin, had = merged.setdefault((target, var), (region, clause))
+            merged[target, var] = (origin, clause if had == clause else COPY)
+            if target != region:
+                fed.setdefault((target, var), []).append((region, clause))
 
-    # per variable, each target and feeding region -> the target it belongs
-    # to.  Lowered directives land on regions, which contain no other target
-    # or region, so one pass leaves no variable in two nested constructs.
-    owners: dict[str, dict[int, int]] = {}
-    for (target, var), feeders in fed.items():
-        owner = owners.setdefault(var, {})
-        owner.update((region, target) for region, _ in feeders)
-        owner[target] = target
-    for var, owner in owners.items():
-        lowered = {outer for loop, target in owner.items() for outer in tree.ancestors(loop)
-                   if outer != target and owner.get(outer) == outer}
-        for target in lowered:
-            for region, clause in fed.pop((target, var)):
-                fed[region, var] = [(region, clause)]
+    # Only a hoisted target can contain another directive's target or
+    # feeding region of its variable, and a region contains neither, so
+    # one pass of lowering leaves no variable in two nested constructs.
+    above: dict[str, set[int]] = {}
+    for target, var in fed:
+        above.setdefault(var, set()).add(target)
+    lowered = {(outer, var)
+               for target, var in merged if var in above
+               for loop in (target, *(region for region, _ in fed.get((target, var), ())))
+               for outer in tree.ancestors(loop)
+               if outer != target and outer in above[var]}
+    for key in lowered:
+        del merged[key]
+        for region, clause in fed[key]:
+            merged[region, key[1]] = (region, clause)
 
-    # (origin, clause, target) -> vars; the lowest feeding region is the origin
+    # (origin, clause, target) -> vars
     grouped: dict[tuple[int, str, int], set[str]] = {}
-    for (target, var), feeders in fed.items():
-        clauses = {clause for _, clause in feeders}
-        clause = clauses.pop() if len(clauses) == 1 else COPY
-        grouped.setdefault((feeders[0][0], clause, target), set()).add(var)
+    for (target, var), (origin, clause) in merged.items():
+        grouped.setdefault((origin, clause, target), set()).add(var)
     directives = [
         DataDirective(target, clause, tuple(sorted(vars_)), origin)
         for (origin, clause, target), vars_ in grouped.items()
