@@ -15,7 +15,8 @@ written edge-case programs, in `frontend.json`.
 It also pins, per genome, the transfer plan and the simulated seconds:
 every valid genome of the small fixtures and a seeded random sample of
 valid genomes of mix10 and stress75, one compact JSON line per genome in
-`plans_<fixture>.jsonl`.
+`plans_<fixture>.jsonl`, and the plan of every genome of the lowering
+family (tests/lowering_family.py) in `lowering_family_plans.jsonl`.
 
 Each command runs from inside its input directory with relative paths, so
 the config.source, config.profile and config.evaluator fields of a report
@@ -40,6 +41,7 @@ from pathlib import Path
 
 import pytest
 
+import lowering_family
 from acctuner.analysis import build_genome_map, check_all_parallelizable, load_profile
 from acctuner.cli import main
 from acctuner.evaluation import load_cost_model, simulate_time
@@ -232,6 +234,10 @@ def test_plans_match_golden(stem):
     assert plan_lines(stem) == (GOLDEN / f"plans_{stem}.jsonl").read_bytes()
 
 
+def test_lowering_family_matches_golden():
+    assert lowering_family.plan_lines() == (GOLDEN / "lowering_family_plans.jsonl").read_bytes()
+
+
 def test_frontend_matches_golden():
     expected = json.loads((GOLDEN / "frontend.json").read_text())
     actual = json.loads(frontend_digests())
@@ -250,5 +256,7 @@ if __name__ == "__main__":
     for stem in sorted(PLAN_SAMPLES):
         (GOLDEN / f"plans_{stem}.jsonl").write_bytes(plan_lines(stem))
         print(f"wrote {GOLDEN / f'plans_{stem}.jsonl'}", file=sys.stderr)
+    (GOLDEN / "lowering_family_plans.jsonl").write_bytes(lowering_family.plan_lines())
+    print(f"wrote {GOLDEN / 'lowering_family_plans.jsonl'}", file=sys.stderr)
     (GOLDEN / "frontend.json").write_bytes(frontend_digests())
     print(f"wrote {GOLDEN / 'frontend.json'}", file=sys.stderr)

@@ -10,6 +10,7 @@ from acctuner.analysis import Profile, ProfileEntry
 from acctuner.errors import InvalidGenome
 from acctuner.transfer import check_genome_valid, plan_transfers, regions
 
+import lowering_family
 from conftest import FIXTURES, analyze
 
 
@@ -400,6 +401,16 @@ def test_plan_goldens_name_no_variable_in_nested_constructs(golden):
         plan = json.loads(line)
         pairs = [(d["target_loop"], d["vars"]) for d in plan["directives"]]
         assert nested_names(tree, pairs) == [], plan["genome"]
+
+
+def test_lowering_family_plans_name_no_variable_in_nested_constructs():
+    lines = (FIXTURES / "outputs" / "lowering_family_plans.jsonl").read_text().splitlines()
+    trees = {seed: lowering_family.analyze(seed)[1] for seed in lowering_family.SEEDS}
+    assert len(lines) >= len(trees)
+    for line in lines:
+        plan = json.loads(line)
+        pairs = [(d["target_loop"], d["vars"]) for d in plan["directives"]]
+        assert nested_names(trees[plan["seed"]], pairs) == [], (plan["seed"], plan["genome"])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
