@@ -11,12 +11,11 @@ probe (pipeline.probe_parallelizable) asks a real compiler instead.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGenome, ProfileError
+from .errors import EmptyGenome, ProfileError, _read_input
 from .loops import REF, SET, LoopNode, LoopTree, VarAccess
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
@@ -52,13 +51,10 @@ def load_profile(path: str | Path, tree: LoopTree) -> Profile:
     """Load a loop-count profile:
     {"loops":[{"id":0,"entry_count":1,"total_iterations":10000000}, ...]}
 
-    The records must name each loop id of the tree and no other; counts
-    must be non-negative integers.
+    The records must name each loop id of the tree and no other; ids and
+    counts must be integers from 0 to 2**63 - 1.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProfileError(f"cannot read profile {path}: {exc}") from exc
+    data = _read_input(path, f"profile {path}", ProfileError)
     if not isinstance(data, dict) or not isinstance(data.get("loops"), list):
         raise ProfileError(f"profile {path}: expected a top-level 'loops' list")
 
@@ -74,9 +70,9 @@ def load_profile(path: str | Path, tree: LoopTree) -> Profile:
             raise ProfileError(f"profile {path}: record missing key {exc}") from exc
         for name, value in (("id", loop_id), ("entry_count", entry_count),
                             ("total_iterations", total)):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**63:
                 raise ProfileError(
-                    f"profile {path}: {name}={value!r} must be a non-negative integer")
+                    f"profile {path}: {name}={value!r} must be an integer in [0, 2**63 - 1]")
         if loop_id in entries:
             raise ProfileError(f"profile {path}: duplicate record for loop {loop_id}")
         entries[loop_id] = ProfileEntry(entry_count, total)

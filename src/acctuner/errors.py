@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one reader of input files."""
 
 from __future__ import annotations
+
+import json
+from collections.abc import Callable
+from pathlib import Path
 
 
 class AutotunerError(Exception):
@@ -54,3 +58,15 @@ class OutputError(AutotunerError):
 
 class UsageError(AutotunerError):
     """A command-line option has a value outside its allowed range."""
+
+
+def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json: bool = True):
+    """The text of an input file read as UTF-8, parsed as JSON when `as_json`.
+    A file that cannot be opened, decoded or parsed raises `error`: ValueError
+    covers a bad byte, bad JSON and an integer past Python's digit limit, and
+    RecursionError a JSON value nested too deep."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what}: {exc}") from exc

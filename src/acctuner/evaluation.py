@@ -7,7 +7,6 @@ really compiles and runs the annotated source under a wall-clock timeout.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import tempfile
@@ -17,7 +16,7 @@ from pathlib import Path
 from string import Formatter
 
 from .analysis import GenomeMap, Profile
-from .errors import ModelError, SpawnError
+from .errors import ModelError, SpawnError, _read_input
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, regions
@@ -56,10 +55,7 @@ def load_cost_model(path: str | Path) -> CostModel:
      "vars":{"a":{"size_bytes":4194304}},
      "transfer_fixed_us":10.0,"transfer_us_per_kib":1.0}
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelError(f"cannot read cost model {path}: {exc}") from exc
+    data = _read_input(path, f"cost model {path}", ModelError)
     try:
         loops = {int(key): LoopCost(float(rec["cpu_us_per_iter"]),
                                     float(rec["gpu_speedup"]),
@@ -168,8 +164,8 @@ def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEO
                         run_step: bool = True) -> CommandEvaluatorConfig:
     """Read compile_cmd, run_cmd (with a run step only) and an optional
     workdir from the file; the timeout and penalty are the caller's."""
+    data = _read_input(path, f"command config {path}", SpawnError)
     try:
-        data = json.loads(Path(path).read_text())
         return CommandEvaluatorConfig(
             compile_cmd=data["compile_cmd"],
             run_cmd=data["run_cmd"] if run_step else None,
@@ -179,7 +175,7 @@ def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEO
         )
     except KeyError as exc:
         raise SpawnError(f"cannot load command config {path}: missing key {exc}") from exc
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpawnError(f"cannot load command config {path}: {exc}") from exc
 
 

@@ -100,8 +100,8 @@ def fitness_from_time(seconds: float, status: str = MEASURED, *,
     individuals are priced as if they took penalty_seconds."""
     if status in (TIMEOUT, INVALID):
         return penalty_seconds ** FITNESS_EXPONENT
-    if seconds <= 0:
-        raise DomainError(f"measured time must be positive, got {seconds}")
+    if not 0 < seconds < math.inf:
+        raise DomainError(f"measured time must be positive and finite, got {seconds}")
     return seconds ** FITNESS_EXPONENT
 
 
@@ -178,8 +178,6 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
     duplicates; the effective size is reported in the result.
     """
     gene_length = len(genome_map)
-    if gene_length == 0:
-        raise EmptyGenome("no offloadable loops")
     size = min(config.population, max(2, gene_length))
     rng = random.Random(config.rng_seed)
     measured: dict[str, Measurement | None] = {}   # the dedup cache; None if nested

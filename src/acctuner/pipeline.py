@@ -27,7 +27,7 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated, kernels_only_annotation
-from .errors import EmptyGenome, ModelError, OutputError, ParseError
+from .errors import EmptyGenome, ModelError, OutputError, ParseError, _read_input
 from .evaluation import (
     INVALID,
     MEASURED,
@@ -104,10 +104,8 @@ def _config_dict(cfg: PipelineConfig) -> dict:
 
 def load_program(path: str):
     """Parse a source file; returns (program, loop tree, accesses)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read source: {exc}", 1, 1, str(path)) from exc
+    text = _read_input(path, "source", lambda message: ParseError(message, 1, 1, str(path)),
+                       as_json=False)
     program = parse(text, str(path))
     return program, build_loop_tree(program), extract_accesses(program)
 

@@ -19,10 +19,9 @@ of the two.  A construct names each variable once: directives of sibling
 regions hoisted to one loop merge per variable into the union of their
 directions (copyin and copyout make copy), kept by the lowest region.
 No variable is named at a loop and again at a loop nested in it, since a
-clause for a variable already on the device transfers nothing.  A target
-that contains another directive's target or feeding region for the same
-variable is lowered: each region that fed it gets back its own clause at
-itself, its unhoisted and always sound place.
+clause for a variable already on the device transfers nothing: a transfer
+of v stays at its own region, its unhoisted and always sound place, when
+its hoist target contains the region of a transfer of v with another target.
 
 A genome is read once, by `regions`, into a region map: each loop id maps
 to the selected loop it lies in (itself included), or None on the CPU
@@ -117,11 +116,6 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # (target, var) -> (origin, clause); regions ascend, so the first is lowest
-    merged: dict[tuple[int, str], tuple[int, str]] = {}
-    # (target, var) -> the (region, clause) pairs hoisted to a loop above them
-    fed: dict[tuple[int, str], list[tuple[int, str]]] = {}
-
     # each access filed once: under its region, or its function's CPU side
     inside_of: dict[int, list[VarAccess]] = {}
     cpu_by_function: dict[str, list[VarAccess]] = {}
@@ -132,6 +126,8 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
         else:
             inside_of.setdefault(region, []).append(a)
 
+    # (region, var, clause, hoist target) per transfer, regions ascending
+    needs: list[tuple[int, str, str, int]] = []
     for region, inside in sorted(inside_of.items()):
         cpu_side = cpu_by_function.get(tree.node(region).function, [])
 
@@ -152,27 +148,23 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
                 clause, blockers = COPYIN, _COPYIN_BLOCKERS
             else:
                 continue
-            target = _hoist_target(tree, region, var_cpu, blockers)
-            origin, had = merged.setdefault((target, var), (region, clause))
-            merged[target, var] = (origin, clause if had == clause else COPY)
-            if target != region:
-                fed.setdefault((target, var), []).append((region, clause))
+            needs.append((region, var, clause, _hoist_target(tree, region, var_cpu, blockers)))
 
-    # Only a hoisted target can contain another directive's target or
-    # feeding region of its variable, and a region contains neither, so
-    # one pass of lowering leaves no variable in two nested constructs.
+    # the lowered (loop, var) pairs; a variable never hoisted costs no walk
     above: dict[str, set[int]] = {}
-    for target, var in fed:
-        above.setdefault(var, set()).add(target)
-    lowered = {(outer, var)
-               for target, var in merged if var in above
-               for loop in (target, *(region for region, _ in fed.get((target, var), ())))
-               for outer in tree.ancestors(loop)
+    for region, var, _, target in needs:
+        if target != region:
+            above.setdefault(var, set()).add(target)
+    lowered = {(outer, var) for region, var, _, target in needs if var in above
+               for outer in tree.ancestors(region)
                if outer != target and outer in above[var]}
-    for key in lowered:
-        del merged[key]
-        for region, clause in fed[key]:
-            merged[region, key[1]] = (region, clause)
+
+    # (place, var) -> (origin, clause); the first need merged is the lowest
+    merged: dict[tuple[int, str], tuple[int, str]] = {}
+    for region, var, clause, target in needs:
+        place = region if (target, var) in lowered else target
+        origin, had = merged.setdefault((place, var), (region, clause))
+        merged[place, var] = (origin, clause if had == clause else COPY)
 
     # (origin, clause, target) -> vars
     grouped: dict[tuple[int, str, int], set[str]] = {}

@@ -458,6 +458,76 @@ def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
         assert error["message"].endswith(": missing key 'run_cmd'")
 
 
+def one_json_error(capsys) -> dict:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
+
+
+LONG_INT = "1" + "0" * 5000     # past Python's 4,300-digit limit for int()
+
+
+# input -> (argv with {bad} for the broken file, exit code, error type)
+BAD_INPUT_RUNS = {
+    "source": (["analyze", "--source", "{bad}"], EXIT_PARSE_ERROR, "ParseError"),
+    "profile": (["gate", "--source", "{dir}/siblings3.c", "--profile", "{bad}"],
+                EXIT_PROFILE_ERROR, "ProfileError"),
+    "model": (None, EXIT_EVALUATOR_FAILURE, "ModelError"),
+    "cmd": (None, EXIT_EVALUATOR_FAILURE, "SpawnError"),
+}
+GOOD_INPUTS = {"source": "siblings3.c", "profile": "siblings3_profile.json",
+               "model": "siblings3_model.json"}
+
+
+@pytest.mark.parametrize("kind,defect", [
+    ("source", "non_utf8"), ("profile", "non_utf8"), ("model", "non_utf8"),
+    ("cmd", "non_utf8"), ("profile", "deep"), ("model", "deep"), ("cmd", "deep"),
+    ("profile", "long_int"), ("model", "long_int")])
+def test_unreadable_input_is_its_loader_error(workdir, capsys, kind, defect):
+    good = (workdir / GOOD_INPUTS[kind]).read_bytes() if kind in GOOD_INPUTS \
+        else b'{"compile_cmd": "true", "run_cmd": "true"}'
+    bad = workdir / f"bad_{kind}"
+    if defect == "non_utf8":
+        bad.write_bytes(good + b"\n\xff\n")
+    elif defect == "deep":
+        bad.write_text("[" * 200_000)
+    else:
+        first_count = "10000000" if kind == "profile" else "4000000"
+        bad.write_text(good.decode().replace(first_count, LONG_INT, 1))
+    argv, code, error_type = BAD_INPUT_RUNS[kind]
+    if argv is None:
+        argv = tune_args(workdir, **{"--evaluator": f"{'sim' if kind == 'model' else kind}:{bad}"})
+    assert main([arg.format(bad=bad, dir=workdir) for arg in argv]) == code
+    error = one_json_error(capsys)
+    assert (error["type"], error["exit_code"]) == (error_type, code)
+    assert "cannot read" in error["message"]
+    assert not (workdir / "report.json").exists()
+
+
+@pytest.mark.parametrize("field", ["entry_count", "total_iterations"])
+def test_profile_count_past_int64_is_profile_error(workdir, capsys, field):
+    profile = json.loads((workdir / "siblings3_profile.json").read_text())
+    profile["loops"][0][field] = 10**400
+    path = workdir / "huge_profile.json"
+    path.write_text(json.dumps(profile))
+    assert main(tune_args(workdir, **{"--profile": str(path)})) == EXIT_PROFILE_ERROR
+    error = one_json_error(capsys)
+    assert (error["type"], error["exit_code"]) == ("ProfileError", EXIT_PROFILE_ERROR)
+    assert not (workdir / "report.json").exists()
+
+
+def test_tune_infinite_simulated_time_is_evaluator_failure(workdir, capsys):
+    # a finite per-iteration cost whose product with loop 0's count is not
+    model = json.loads((workdir / "siblings3_model.json").read_text())
+    model["loops"]["0"]["cpu_us_per_iter"] = 1e305
+    path = workdir / "huge_model.json"
+    path.write_text(json.dumps(model))
+    assert main(tune_args(workdir, **{"--evaluator": f"sim:{path}"})) == EXIT_EVALUATOR_FAILURE
+    error = one_json_error(capsys)
+    assert (error["type"], error["exit_code"]) == ("DomainError", EXIT_EVALUATOR_FAILURE)
+    assert not (workdir / "report.json").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--pop", "1"), ("--workers", "0"),
                                         ("--penalty", "nan"), ("--timeout", "inf")])
 def test_tune_bad_ga_option_is_usage_error(workdir, capsys, flag, value):
