@@ -421,7 +421,10 @@ def test_tune_cmd_long_genome(workdir):
 
 
 def error_of(capsys) -> dict:
-    return json.loads(capsys.readouterr().err)["error"]
+    """The error of the one JSON line written to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])["error"]
 
 
 @pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}',
@@ -458,23 +461,7 @@ def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
         assert error["message"].endswith(": missing key 'run_cmd'")
 
 
-def one_json_error(capsys) -> dict:
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1, lines
-    return json.loads(lines[0])["error"]
-
-
 LONG_INT = "1" + "0" * 5000     # past Python's 4,300-digit limit for int()
-
-
-# input -> (argv with {bad} for the broken file, exit code, error type)
-BAD_INPUT_RUNS = {
-    "source": (["analyze", "--source", "{bad}"], EXIT_PARSE_ERROR, "ParseError"),
-    "profile": (["gate", "--source", "{dir}/siblings3.c", "--profile", "{bad}"],
-                EXIT_PROFILE_ERROR, "ProfileError"),
-    "model": (None, EXIT_EVALUATOR_FAILURE, "ModelError"),
-    "cmd": (None, EXIT_EVALUATOR_FAILURE, "SpawnError"),
-}
 GOOD_INPUTS = {"source": "siblings3.c", "profile": "siblings3_profile.json",
                "model": "siblings3_model.json"}
 
@@ -494,11 +481,17 @@ def test_unreadable_input_is_its_loader_error(workdir, capsys, kind, defect):
     else:
         first_count = "10000000" if kind == "profile" else "4000000"
         bad.write_text(good.decode().replace(first_count, LONG_INT, 1))
-    argv, code, error_type = BAD_INPUT_RUNS[kind]
-    if argv is None:
-        argv = tune_args(workdir, **{"--evaluator": f"{'sim' if kind == 'model' else kind}:{bad}"})
-    assert main([arg.format(bad=bad, dir=workdir) for arg in argv]) == code
-    error = one_json_error(capsys)
+    argv, code, error_type = {
+        "source": (["analyze", "--source", str(bad)], EXIT_PARSE_ERROR, "ParseError"),
+        "profile": (["gate", "--source", str(workdir / "siblings3.c"), "--profile", str(bad)],
+                    EXIT_PROFILE_ERROR, "ProfileError"),
+        "model": (tune_args(workdir, **{"--evaluator": f"sim:{bad}"}),
+                  EXIT_EVALUATOR_FAILURE, "ModelError"),
+        "cmd": (tune_args(workdir, **{"--evaluator": f"cmd:{bad}"}),
+                EXIT_EVALUATOR_FAILURE, "SpawnError"),
+    }[kind]
+    assert main(argv) == code
+    error = error_of(capsys)
     assert (error["type"], error["exit_code"]) == (error_type, code)
     assert "cannot read" in error["message"]
     assert not (workdir / "report.json").exists()
@@ -511,7 +504,7 @@ def test_profile_count_past_int64_is_profile_error(workdir, capsys, field):
     path = workdir / "huge_profile.json"
     path.write_text(json.dumps(profile))
     assert main(tune_args(workdir, **{"--profile": str(path)})) == EXIT_PROFILE_ERROR
-    error = one_json_error(capsys)
+    error = error_of(capsys)
     assert (error["type"], error["exit_code"]) == ("ProfileError", EXIT_PROFILE_ERROR)
     assert not (workdir / "report.json").exists()
 
@@ -523,7 +516,7 @@ def test_tune_infinite_simulated_time_is_evaluator_failure(workdir, capsys):
     path = workdir / "huge_model.json"
     path.write_text(json.dumps(model))
     assert main(tune_args(workdir, **{"--evaluator": f"sim:{path}"})) == EXIT_EVALUATOR_FAILURE
-    error = one_json_error(capsys)
+    error = error_of(capsys)
     assert (error["type"], error["exit_code"]) == ("DomainError", EXIT_EVALUATOR_FAILURE)
     assert not (workdir / "report.json").exists()
 
