@@ -20,7 +20,7 @@ from .analysis import (
     gate,
     load_profile,
 )
-from .emitter import emit_annotated, strip_annotations
+from .emitter import emit_annotated
 from .evaluation import CostModel, load_cost_model, simulate_time
 from .ga import GAConfig, init_population, run_ga
 from .loops import LoopTree, build_loop_tree, extract_accesses

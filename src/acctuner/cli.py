@@ -32,7 +32,6 @@ from .errors import (
     AutotunerError,
     DomainError,
     EmptyGenome,
-    ExternalOracleError,
     ModelError,
     ParseError,
     ProfileError,
@@ -65,7 +64,7 @@ _ERROR_EXIT_CODES = (
     (ParseError, EXIT_PARSE_ERROR),
     (ProfileError, EXIT_PROFILE_ERROR),
     (EmptyGenome, EXIT_NO_OFFLOADABLE_LOOPS),
-    ((ModelError, SpawnError, ExternalOracleError, DomainError), EXIT_EVALUATOR_FAILURE),
+    ((ModelError, SpawnError, DomainError), EXIT_EVALUATOR_FAILURE),
 )
 
 
@@ -202,13 +201,10 @@ def _cmd_check(args) -> int:
     if args.oracle == "builtin":
         verdicts = check_all_parallelizable(tree, accesses)
     elif args.oracle.startswith("cmd:"):
-        try:
-            config = load_command_config(args.oracle[4:], run_step=False)
-            verdicts = probe_parallelizable(config, program, tree)
-        except SpawnError as exc:
-            raise ExternalOracleError(str(exc)) from exc
+        config = load_command_config(args.oracle[4:], run_step=False)
+        verdicts = probe_parallelizable(config, program, tree)
     else:
-        raise ExternalOracleError(
+        raise SpawnError(
             f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
     eligible = sorted(v.loop_id for v in verdicts if v.eligible)
     _emit_json({

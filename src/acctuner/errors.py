@@ -36,16 +36,8 @@ class EmptyGenome(AutotunerError):
     """No offloadable loops: the gene length would be zero."""
 
 
-class PlanMismatch(AutotunerError):
-    """A transfer plan references a loop that is not in the tree."""
-
-
 class SpawnError(AutotunerError):
     """A command config is bad, or a trial could not be written or started."""
-
-
-class ExternalOracleError(AutotunerError):
-    """The compile probe's config is bad, or its trial could not be started."""
 
 
 class DomainError(AutotunerError):

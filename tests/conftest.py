@@ -59,6 +59,15 @@ def analyze(source: str):
     return program, at.build_loop_tree(program), at.extract_accesses(program)
 
 
+def is_pragma(line: str) -> bool:
+    return line.lstrip().startswith("#pragma acc ")
+
+
+def strip_pragmas(text: str) -> str:
+    """The text with its `#pragma acc` lines deleted, read from the text alone."""
+    return "\n".join(line for line in text.split("\n") if not is_pragma(line))
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

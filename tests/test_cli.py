@@ -438,7 +438,7 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
                  "--oracle", f"cmd:{path}"])
     assert code == EXIT_EVALUATOR_FAILURE
     error = error_of(capsys)
-    assert error["type"] == "ExternalOracleError"
+    assert error["type"] == "SpawnError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
 
 
