@@ -2,19 +2,14 @@
 
 A real deployment points compile_cmd at an OpenACC compiler and run_cmd at
 a benchmark.  Here stub shell commands exercise the whole contract: compile
-failure becomes Invalid, a run past the timeout becomes Timeout, and both
-are priced at the penalty time for fitness purposes.
+failure becomes Invalid and a run past the timeout becomes Timeout, each
+with the seconds its failing step ran.  The search, not the evaluator,
+prices an invalid or timed-out trial at the penalty time (`--penalty`), as
+it does a nested genome.
 """
 
-import tempfile
-from pathlib import Path
-
-from acctuner.evaluation import CommandEvaluatorConfig, command_evaluate
-from acctuner.ga import fitness_from_time
-
-workdir = Path(tempfile.mkdtemp(prefix="acctuner_demo_"))
-src = workdir / "trial.c"
-src.write_text("int main() { return 0; }\n")
+from acctuner.evaluation import CommandEvaluatorConfig, command_evaluate, trial_file
+from acctuner.ga import DEFAULT_PENALTY_SECONDS, fitness_from_time
 
 cases = [
     ("compiler rejects the directives",
@@ -26,10 +21,13 @@ cases = [
                             timeout_seconds=2.0)),
 ]
 
-for label, config in cases:
-    measurement = command_evaluate(config, src)
-    fitness = fitness_from_time(measurement.seconds, measurement.status,
-                                penalty_seconds=config.penalty_seconds)
-    print(f"{label}:")
-    print(f"  status={measurement.status} seconds={measurement.seconds:.6g} "
-          f"fitness={fitness:.6g}\n")
+# a trial source in the system temp directory, removed with its .bin at the end
+with trial_file("int main() { return 0; }\n", None) as src:
+    for label, config in cases:
+        measurement = command_evaluate(config, src)
+        # how run_ga prices the trial
+        priced = (measurement.seconds if measurement.status == "measured"
+                  else DEFAULT_PENALTY_SECONDS)
+        print(f"{label}:")
+        print(f"  status={measurement.status} seconds={measurement.seconds:.6g} "
+              f"priced at {priced:.6g} s, fitness={fitness_from_time(priced):.6g}\n")

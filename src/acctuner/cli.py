@@ -28,25 +28,12 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated
-from .errors import (
-    AutotunerError,
-    DomainError,
-    EmptyGenome,
-    ModelError,
-    ParseError,
-    ProfileError,
-    SpawnError,
-    UsageError,
-)
+from .errors import AutotunerError, SpawnError, UsageError
 from .evaluation import load_command_config
 from .ga import GAConfig
 from .pipeline import (
-    EXIT_EVALUATOR_FAILURE,
     EXIT_GATE_REJECT,
-    EXIT_NO_OFFLOADABLE_LOOPS,
     EXIT_OK,
-    EXIT_PARSE_ERROR,
-    EXIT_PROFILE_ERROR,
     PipelineConfig,
     _write,
     gate_dict,
@@ -56,24 +43,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .transfer import plan_transfers
-
-EXIT_USAGE = 2  # argparse's own exit code for a bad command line
-
-_ERROR_EXIT_CODES = (
-    (UsageError, EXIT_USAGE),
-    (ParseError, EXIT_PARSE_ERROR),
-    (ProfileError, EXIT_PROFILE_ERROR),
-    (EmptyGenome, EXIT_NO_OFFLOADABLE_LOOPS),
-    ((ModelError, SpawnError, DomainError), EXIT_EVALUATOR_FAILURE),
-)
-
-
-def _exit_code_for(exc: AutotunerError) -> int:
-    for types, code in _ERROR_EXIT_CODES:
-        if isinstance(exc, types):
-            return code
-    return 1
-
 
 def _emit(text: str, out: str | None):
     if out:
@@ -272,10 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except AutotunerError as exc:
-        code = _exit_code_for(exc)
-        sys.stderr.write(json.dumps({"error": {
-            "type": type(exc).__name__, "message": str(exc), "exit_code": code}}) + "\n")
-        return code
+        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
+        sys.stderr.write(json.dumps({"error": error}) + "\n")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

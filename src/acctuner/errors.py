@@ -8,10 +8,17 @@ from pathlib import Path
 
 
 class AutotunerError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Each type declares
+    the exit code the CLI ends with when it stops the run (README table)."""
+    exit_code = 1
+
+
+_EVALUATOR_FAILURE = 14     # a bad cost model or command config, or an evaluator fault
 
 
 class ParseError(AutotunerError):
+    exit_code = 10
+
     def __init__(self, message: str, line: int, col: int, path: str = "<source>"):
         super().__init__(f"{path}:{line}:{col}: {message}")
         self.message = message
@@ -22,10 +29,12 @@ class ParseError(AutotunerError):
 
 class ProfileError(AutotunerError):
     """Malformed profile file, or profile does not cover the loop tree."""
+    exit_code = 11
 
 
 class ModelError(AutotunerError):
     """Cost model is malformed or misses a loop/variable entry."""
+    exit_code = _EVALUATOR_FAILURE
 
 
 class InvalidGenome(AutotunerError):
@@ -34,14 +43,17 @@ class InvalidGenome(AutotunerError):
 
 class EmptyGenome(AutotunerError):
     """No offloadable loops: the gene length would be zero."""
+    exit_code = 13
 
 
 class SpawnError(AutotunerError):
     """A command config is bad, or a trial could not be written or started."""
+    exit_code = _EVALUATOR_FAILURE
 
 
 class DomainError(AutotunerError):
     """Fitness requested for a non-positive measured time."""
+    exit_code = _EVALUATOR_FAILURE
 
 
 class OutputError(AutotunerError):
@@ -50,6 +62,7 @@ class OutputError(AutotunerError):
 
 class UsageError(AutotunerError):
     """A command-line option has a value outside its allowed range."""
+    exit_code = 2   # argparse's own exit code for a bad command line
 
 
 def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json: bool = True):

@@ -3,6 +3,8 @@
 Two evaluators sit behind one interface: a deterministic cost-model
 simulator for desk-scale testing, and an external-command evaluator that
 really compiles and runs the annotated source under a wall-clock timeout.
+Each reports a status and the seconds it measured; what a failed trial
+costs the search is the search's own decision (ga.run_ga).
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .transfer import TransferPlan, regions
 MEASURED = "measured"
 TIMEOUT = "timeout"
 INVALID = "invalid"
-
-DEFAULT_PENALTY_SECONDS = 1000.0
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,6 @@ class CommandEvaluatorConfig:
     compile_cmd: str            # shell template with {src} and {bin}
     run_cmd: str | None         # likewise; None for a compile probe, which has no run step
     timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS
-    penalty_seconds: float = DEFAULT_PENALTY_SECONDS
     workdir: str | None = None
 
     def __post_init__(self):
@@ -160,17 +159,15 @@ class CommandEvaluatorConfig:
 
 
 def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-                        penalty_seconds: float = DEFAULT_PENALTY_SECONDS,
                         run_step: bool = True) -> CommandEvaluatorConfig:
     """Read compile_cmd, run_cmd (with a run step only) and an optional
-    workdir from the file; the timeout and penalty are the caller's."""
+    workdir from the file; the timeout is the caller's."""
     data = _read_input(path, f"command config {path}", SpawnError)
     try:
         return CommandEvaluatorConfig(
             compile_cmd=data["compile_cmd"],
             run_cmd=data["run_cmd"] if run_step else None,
             timeout_seconds=timeout_seconds,
-            penalty_seconds=penalty_seconds,
             workdir=data.get("workdir"),
         )
     except KeyError as exc:
@@ -204,8 +201,9 @@ def command_evaluate(config: CommandEvaluatorConfig,
 
     Both templates get the source as {src} and the .bin beside it as {bin}.
     A failed compile or a nonzero run exit yields Invalid; a compile or a
-    run that exceeds the timeout yields Timeout; both carry the penalty
-    time.  Without a run step, a clean compile is measured by its own time.
+    run that exceeds the timeout yields Timeout; both carry the seconds the
+    failing step ran.  Without a run step, a clean compile is measured by
+    its own time.
     Each command's process group is killed when it ends (run_shell).
     A shell that cannot be spawned raises SpawnError instead, so
     infrastructure trouble never looks like a slow genome.
@@ -220,9 +218,9 @@ def command_evaluate(config: CommandEvaluatorConfig,
         except OSError as exc:
             raise SpawnError(f"cannot spawn {step} command {cmd!r}: {exc}") from exc
         if status is None:
-            return Measurement(config.penalty_seconds, TIMEOUT)
+            return Measurement(elapsed, TIMEOUT)
         if status != 0:
-            return Measurement(config.penalty_seconds, INVALID)
+            return Measurement(elapsed, INVALID)
         if elapsed > config.timeout_seconds:
-            return Measurement(config.penalty_seconds, TIMEOUT)
+            return Measurement(elapsed, TIMEOUT)
     return Measurement(elapsed, MEASURED)

@@ -4,8 +4,9 @@ A genome is a '0'/'1' string over the genome map: bit k decides whether
 eligible loop genome_map.loop_ids[k] runs on the GPU.  Each generation is
 evaluate -> roulette selection with one preserved elite -> one-point
 crossover -> per-gene mutation.  Fitness is seconds**(-1/2), so
-a fast individual cannot crowd out the rest of the search; timeouts and
-invalid genomes (nested selections) are priced at a fixed penalty time.
+a fast individual cannot crowd out the rest of the search.  run_ga alone
+prices a failed trial: a timeout, an invalid build or run, and a nested
+genome all count as the fixed penalty time.
 
 All randomness flows through one seeded random.Random in a fixed order:
 population init (one draw per gene), then per generation the roulette
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
-from .evaluation import DEFAULT_PENALTY_SECONDS, INVALID, MEASURED, TIMEOUT, Measurement
+from .evaluation import INVALID, TIMEOUT, Measurement
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS
 from .transfer import check_genome_valid
@@ -34,6 +35,7 @@ from .transfer import check_genome_valid
 CACHE_HIT = "cachehit"
 
 FITNESS_EXPONENT = -0.5
+DEFAULT_PENALTY_SECONDS = 1000.0     # what a failed trial counts as
 
 
 @dataclass
@@ -94,12 +96,9 @@ class SearchResult:
     cache_hits: int
 
 
-def fitness_from_time(seconds: float, status: str = MEASURED, *,
-                      penalty_seconds: float = DEFAULT_PENALTY_SECONDS) -> float:
-    """seconds**FITNESS_EXPONENT for real measurements; timeouts and invalid
-    individuals are priced as if they took penalty_seconds."""
-    if status in (TIMEOUT, INVALID):
-        return penalty_seconds ** FITNESS_EXPONENT
+def fitness_from_time(seconds: float) -> float:
+    """seconds**FITNESS_EXPONENT; run_ga passes the penalty time for a
+    failed trial."""
     if not 0 < seconds < math.inf:
         raise DomainError(f"measured time must be positive and finite, got {seconds}")
     return seconds ** FITNESS_EXPONENT
@@ -173,7 +172,8 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
 
     `evaluate(bits) -> Measurement` is only ever called for genomes that are
     valid (no nested selections) and not in the dedup cache; invalid genomes
-    are priced at the penalty without evaluation.  The population is clamped
+    are priced at the penalty without evaluation, and so is every copy of a
+    genome whose trial timed out or was invalid.  The population is clamped
     to the gene length (never below 2) so tiny search spaces do not drown in
     duplicates; the effective size is reported in the result.
     """
@@ -218,11 +218,11 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
                 measurement = measured[bits]
                 status = CACHE_HIT
                 hits += 1
-            fitness = fitness_from_time(
-                measurement.seconds, measurement.status,
-                penalty_seconds=config.penalty_seconds)
+            # a nested genome and a failed trial, first copy or repeat, cost the penalty
+            seconds = (config.penalty_seconds if measurement.status in (TIMEOUT, INVALID)
+                       else measurement.seconds)
             evaluated.append(EvaluatedIndividual(
-                bits, measurement.seconds, fitness, status))
+                bits, seconds, fitness_from_time(seconds), status))
 
         for individual in evaluated:
             best = _better_best(best, individual)

@@ -76,7 +76,9 @@ _LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 # One token per match, after any blanks.  `\w` is exactly str.isalnum() or
 # '_'; an identifier starting outside ASCII must also pass str.isalpha().
 # Numbers are ASCII digits only.  A line comment or a '#' line runs to the
-# end of the line; a '/*' without its '*/' matches alone.  `bad` takes any
+# end of the line, and on past each newline after a backslash and any blanks
+# or '\r': C joins those lines first (translation phase 2; gcc and clang
+# allow the blanks).  A '/*' without its '*/' matches alone.  `bad` takes any
 # other character that is not a blank, so finditer skips only trailing blanks.
 _TOKEN_RE = re.compile(r"""
     [ \t\r]*
@@ -84,7 +86,7 @@ _TOKEN_RE = re.compile(r"""
       (?P<ident>[A-Za-z_]\w*)
     | (?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
     | (?P<nl>\n)
-    | (?P<line_comment>//[^\n]*|\#[^\n]*)
+    | (?P<line_comment>(?://|\#)[^\\\n]*(?:\\(?:[ \t\r]*\n)?[^\\\n]*)*)
     | (?P<block_comment>/\*(?:[\s\S]*?\*/)?)
     | (?P<punct>\+\+|--|[-+*/=!<>]=|&&|\|\||[-+*/%<>=!(){}\[\];,])
     | (?P<uident>[^\W\d_]\w*)
@@ -121,9 +123,7 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
         elif kind == "nl":
             line += 1
             line_start = start + 1
-        elif kind == "line_comment":
-            pass
-        elif kind == "block_comment":
+        elif kind == "line_comment" or kind == "block_comment":
             comment = m.group(kind)
             if comment == "/*":
                 raise ParseError("unterminated block comment", line,

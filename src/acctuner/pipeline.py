@@ -1,9 +1,9 @@
 """End-to-end tuning pipeline: analyze, gate, eligibility, GA search, emit.
 
-Every stage failure maps to its own exit code so scripts can branch on why
-a run stopped.  Reports are plain JSON built in a fixed order; two runs
-with the same inputs and seed produce byte-identical reports and annotated
-sources.
+Every way a run stops has its own exit code, so scripts can branch on why:
+an error type declares its own (errors.py), and the other results are here.
+Reports are plain JSON built in a fixed order; two runs with the same
+inputs and seed produce byte-identical reports and annotated sources.
 """
 
 from __future__ import annotations
@@ -47,11 +47,8 @@ from .parser import parse
 from .transfer import plan_transfers
 
 EXIT_OK = 0
-EXIT_PARSE_ERROR = 10
-EXIT_PROFILE_ERROR = 11
 EXIT_GATE_REJECT = 12
-EXIT_NO_OFFLOADABLE_LOOPS = 13
-EXIT_EVALUATOR_FAILURE = 14
+EXIT_NO_OFFLOADABLE_LOOPS = EmptyGenome.exit_code
 
 
 @dataclass
@@ -158,7 +155,7 @@ def build_evaluator(spec: str, program, tree: LoopTree, accesses,
         model = load_cost_model(spec[4:])
         return make_sim_evaluator(model, program, tree, accesses, genome_map, profile)
     if spec.startswith("cmd:"):
-        config = load_command_config(spec[4:], ga.timeout_seconds, ga.penalty_seconds)
+        config = load_command_config(spec[4:], ga.timeout_seconds)
         return make_cmd_evaluator(config, program, tree, accesses, genome_map)
     raise ModelError(f"evaluator spec {spec!r} must start with 'sim:' or 'cmd:'")
 
@@ -205,7 +202,7 @@ def run_pipeline(cfg: PipelineConfig) -> tuple[int, dict]:
     The report is written to cfg.report on every path that produces a
     verdict (gate reject, no offloadable loops, success); hard errors such
     as unparseable input or a broken evaluator leave no partial report and
-    surface through their exception, mapped to an exit code by the CLI.
+    surface through their exception, whose type carries the CLI's exit code.
     """
     report = {"config": _config_dict(cfg)}
     code, report["result"] = _run_stages(cfg, report)

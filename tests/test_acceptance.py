@@ -20,7 +20,7 @@ from acctuner.evaluation import (
     Measurement,
     command_evaluate,
 )
-from acctuner.ga import GAConfig, fitness_from_time, run_ga
+from acctuner.ga import DEFAULT_PENALTY_SECONDS, GAConfig, fitness_from_time, run_ga
 from acctuner.transfer import DataDirective, TransferPlan, plan_transfers
 
 from conftest import FIXTURES, TUNE_FIXTURES, analyze, load_fixture, strip_pragmas
@@ -78,8 +78,9 @@ def search_runs():
 
 def test_criterion_01_fitness_formula():
     assert fitness_from_time(108.28) == pytest.approx(0.09610, abs=1e-4)
-    assert fitness_from_time(0.0, "timeout", penalty_seconds=1000.0) == \
-        pytest.approx(0.0316228, abs=1e-6)
+    # a failed trial counts as the 1000 s penalty (run_ga prices it)
+    assert DEFAULT_PENALTY_SECONDS == 1000.0
+    assert fitness_from_time(DEFAULT_PENALTY_SECONDS) == pytest.approx(0.0316228, abs=1e-6)
 
 
 def test_criterion_02_gate_boundary():
@@ -315,11 +316,14 @@ def test_criterion_12_command_evaluator_contract(tmp_path):
     src = tmp_path / "t.c"
     src.write_text("int main(){}")
 
+    # a failed trial carries its status and the seconds its failing step ran
     failing = CommandEvaluatorConfig("false", "true", timeout_seconds=5.0)
-    assert command_evaluate(failing, src) == Measurement(1000.0, "invalid")
+    invalid = command_evaluate(failing, src)
+    assert invalid.status == "invalid" and 0 < invalid.seconds < 5.0 + 1
 
     sleeper = CommandEvaluatorConfig("true", "sleep 2", timeout_seconds=1.0)
-    assert command_evaluate(sleeper, src) == Measurement(1000.0, "timeout")
+    timeout = command_evaluate(sleeper, src)
+    assert timeout.status == "timeout" and 0 < timeout.seconds < 1.0 + 1
 
     noop = CommandEvaluatorConfig("true", "true", timeout_seconds=5.0)
     measured = command_evaluate(noop, src)

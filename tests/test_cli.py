@@ -6,14 +6,12 @@ import sys
 
 import pytest
 
+from acctuner import errors
 from acctuner.cli import main
 from acctuner.pipeline import (
-    EXIT_EVALUATOR_FAILURE,
     EXIT_GATE_REJECT,
     EXIT_NO_OFFLOADABLE_LOOPS,
     EXIT_OK,
-    EXIT_PARSE_ERROR,
-    EXIT_PROFILE_ERROR,
     PipelineConfig,
     run_pipeline,
 )
@@ -21,6 +19,14 @@ from acctuner.ga import GAConfig
 from acctuner.parser import MAX_NESTING
 
 from conftest import FIXTURES
+
+# the error rows of the README's exit-code table
+EXIT_PARSE_ERROR, EXIT_PROFILE_ERROR, EXIT_EVALUATOR_FAILURE = 10, 11, 14
+README_ERROR_EXIT_CODES = {
+    "InvalidGenome": 1, "OutputError": 1, "UsageError": 2, "ParseError": 10,
+    "ProfileError": 11, "EmptyGenome": 13, "ModelError": 14, "SpawnError": 14,
+    "DomainError": 14,
+}
 
 
 @pytest.fixture
@@ -554,3 +560,49 @@ def test_python_m_acctuner_help():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: acctuner")
+
+
+@pytest.mark.parametrize("name", README_ERROR_EXIT_CODES)
+def test_error_type_declares_its_readme_exit_code(name):
+    assert getattr(errors, name).exit_code == README_ERROR_EXIT_CODES[name]
+
+
+def test_error_exit_code_table_is_complete():
+    declared = {name for name, value in vars(errors).items() if isinstance(value, type)
+                and issubclass(value, errors.AutotunerError) and value is not errors.AutotunerError}
+    assert declared == set(README_ERROR_EXIT_CODES)
+
+
+@pytest.mark.parametrize("command", ["plan-transfers", "emit"])
+def test_genome_command_without_eligible_loop_is_empty_genome(workdir, capsys, command):
+    src = workdir / "serial.c"
+    src.write_text("int main(){int i; float a[100];\n"
+                   "for(i=1;i<100;i++){ a[i] = a[i-1] + 1.0; }\n"
+                   "return 0;}\n")
+    assert main([command, "--source", str(src), "--genome", "1"]) == EXIT_NO_OFFLOADABLE_LOOPS
+    error = error_of(capsys)
+    assert (error["type"], error["exit_code"]) == ("EmptyGenome", EXIT_NO_OFFLOADABLE_LOOPS)
+
+
+# a backslash before the newline, after blanks or before '\r\n' too, joins
+# the next line to a '//' comment or a '#' line, so the loop is commented out
+@pytest.mark.parametrize("joiner", ["// note \\\n", "#define X 1 \\\n",
+                                    "// note \\  \n", "// note \\\r\n"],
+                         ids=["comment", "define", "blanks", "crlf"])
+def test_loop_on_a_joined_comment_line_is_no_loop(workdir, capsys, joiner):
+    src = workdir / "joined.c"
+    src.write_text(f"int main() {{\n int i;\n float a[8];\n {joiner}"
+                   " for (i = 0; i < 8; i++) { a[i] = 1.0; }\n return 0;\n}\n")
+    assert main(["check", "--source", str(src)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verdicts"] == []
+    assert main(["emit", "--source", str(src), "--genome", "1"]) == EXIT_NO_OFFLOADABLE_LOOPS
+    assert error_of(capsys)["type"] == "EmptyGenome"
+
+
+def test_loop_after_a_joined_comment_keeps_its_line(workdir, capsys):
+    src = workdir / "joined.c"
+    src.write_text("int main() {\n int i;\n float a[8];\n // first \\\n second\n"
+                   " for (i = 0; i < 8; i++) { a[i] = 1.0; }\n return 0;\n}\n")
+    assert main(["analyze", "--source", str(src)]) == EXIT_OK
+    [loop] = json.loads(capsys.readouterr().out)["loops"]
+    assert (loop["line"], loop["col"]) == (6, 2)

@@ -188,9 +188,12 @@ def test_lowering_family_plans_are_placed():
                       selected_loops(record["genome"], gm))
 
 
-# Lines end only at '\n', as the tokenizer counts them; and a loop that
-# follows other code on its line gets a line of its own.
+# Lines end only at '\n', as the tokenizer counts them, and a comment that
+# ends in a backslash runs on over the next line; a loop that follows other
+# code on its line gets a line of its own.
 PLACEMENT_PROGRAMS = {
+    "joined_comment": "int main(){int i; float a[4];\n// first \\\nsecond\n"
+                      "for(i=0;i<4;i++){ a[i] = 1.0; }\nreturn 0;}\n",
     "form_feed": "int main(){int i; float a[4];\n// page\x0cbreak\n"
                  "for(i=0;i<4;i++){ a[i] = 1.0; }\nreturn 0;}\n",
     "lone_cr": "int main(){int i;\rfloat a[4];\n"

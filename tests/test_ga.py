@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+from acctuner import ga
 from acctuner.analysis import GenomeMap
 from acctuner.errors import DomainError, EmptyGenome, SpawnError
 from acctuner.evaluation import Measurement
 from acctuner.ga import (
+    DEFAULT_PENALTY_SECONDS,
     EvaluatedIndividual,
     GAConfig,
     fitness_from_time,
@@ -55,8 +57,10 @@ def test_fitness_paper_baseline():
 
 
 def test_fitness_timeout_penalty():
-    assert fitness_from_time(0.0, "timeout") == pytest.approx(0.0316228, abs=1e-6)
-    assert fitness_from_time(5.0, "invalid") == pytest.approx(0.0316228, abs=1e-6)
+    # a failed trial is priced by run_ga, which passes the penalty time
+    assert fitness_from_time(DEFAULT_PENALTY_SECONDS) == pytest.approx(0.0316228, abs=1e-6)
+    with pytest.raises(TypeError):
+        fitness_from_time(5.0, "invalid")
 
 
 def test_fitness_identity_at_one_second():
@@ -270,6 +274,47 @@ def test_run_ga_invalid_nested_selection_penalized_without_eval():
     assert result.best.genome == "10"
     # the penalty keeps invalid genomes out of the best slot
     assert result.best.status != "invalid"
+
+
+def test_run_ga_prices_every_failed_trial(monkeypatch):
+    # the evaluator reports a failed trial with the seconds its step ran;
+    # run_ga alone prices it, at every copy, at the configured penalty
+    failed = {}
+
+    def evaluate(bits):
+        value = int(bits, 2)
+        if value % 3 == 0:
+            failed[bits] = "invalid"
+            return Measurement(0.01, "invalid")
+        if value % 3 == 1:
+            failed[bits] = "timeout"
+            return Measurement(0.02, "timeout")
+        return Measurement(1.0 + value / 100, "measured")
+
+    scored = []
+    better_best = ga._better_best
+
+    def recording_better_best(current, candidate):
+        scored.append(candidate)
+        return better_best(current, candidate)
+
+    monkeypatch.setattr(ga, "_better_best", recording_better_best)
+    config = GAConfig(population=4, generations=10, penalty_seconds=50.0, rng_seed=2)
+    result = run_ga(config, GenomeMap((0, 1, 2, 3)), sibling_tree(4), evaluate)
+
+    seen = set()
+    statuses = set()
+    for individual in scored:
+        if individual.genome in failed:
+            first = individual.genome not in seen
+            status = failed[individual.genome] if first else "cachehit"
+            assert individual.status == status
+            assert individual.seconds == 50.0
+            assert individual.fitness == 50.0 ** -0.5
+            statuses.add(status)
+        seen.add(individual.genome)
+    assert statuses == {"invalid", "timeout", "cachehit"}
+    assert result.best.genome not in failed and result.best.seconds < 50.0
 
 
 def test_run_ga_elite_monotonicity(tune_fixtures):
