@@ -44,15 +44,8 @@ from .pipeline import (
 )
 from .transfer import plan_transfers
 
-def _emit(text: str, out: str | None):
-    if out:
-        _write(out, text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_json(data: dict, out: str | None):
-    _emit(render_report(data), out)
+    _write(out or None, render_report(data))
 
 
 def _add_source(p: argparse.ArgumentParser):
@@ -202,7 +195,7 @@ def _cmd_emit(args) -> int:
     program, tree, accesses, genome_map = _genome_context(args.source)
     plan = plan_transfers(program, tree, accesses, args.genome, genome_map)
     annotated = emit_annotated(program, tree, args.genome, genome_map, plan)
-    _emit(annotated.text, args.out)
+    _write(args.out or None, annotated.text)
     return EXIT_OK
 
 
@@ -222,7 +215,7 @@ def _cmd_tune(args) -> int:
         report=args.report,
     )
     code, report = run_pipeline(cfg)
-    sys.stdout.write(f"{report['result']}\n")
+    _write(None, f"{report['result']}\n")
     return code
 
 

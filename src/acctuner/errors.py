@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the one reader of input files."""
+"""Exception types shared across the package, and the one reader and the one
+writer of files: both use UTF-8, whatever the locale."""
 
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Callable
 from pathlib import Path
 
@@ -75,3 +77,20 @@ def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json
         return json.loads(text) if as_json else text
     except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {what}: {exc}") from exc
+
+
+def _write_output(path, text: str, error: Callable[[str], AutotunerError]):
+    """Write text as UTF-8 to the file at `path`, or to standard output when
+    `path` is None, whatever the locale's encoding.  A write that fails
+    raises `error`."""
+    try:
+        if path is not None:
+            Path(path).write_text(text, encoding="utf-8")
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(text.encode("utf-8"))
+            sys.stdout.buffer.flush()
+        else:
+            sys.stdout.write(text)      # a text-only stream, such as io.StringIO
+    except OSError as exc:
+        raise error(f"cannot write {'standard output' if path is None else path}: {exc}") from exc

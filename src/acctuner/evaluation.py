@@ -18,7 +18,7 @@ from pathlib import Path
 from string import Formatter
 
 from .analysis import GenomeMap, Profile
-from .errors import ModelError, SpawnError, _read_input
+from .errors import ModelError, SpawnError, _read_input, _write_output
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, regions
@@ -184,11 +184,11 @@ def trial_file(text: str, workdir: str | None):
     try:
         try:
             fd, name = tempfile.mkstemp(".c", "trial_", os.path.abspath(workdir) if workdir else None)
-            written += [Path(name), Path(name).with_suffix(".bin")]
-            with open(fd, "w") as handle:
-                handle.write(text)
+            os.close(fd)
         except OSError as exc:
             raise SpawnError(f"cannot write a trial source: {exc}") from exc
+        written += [Path(name), Path(name).with_suffix(".bin")]
+        _write_output(name, text, SpawnError)
         yield written[0]
     finally:
         for path in written:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
-from .evaluation import INVALID, TIMEOUT, Measurement
+from .evaluation import INVALID, MEASURED, Measurement
 from .loops import LoopTree
 from .shell import DEFAULT_TIMEOUT_SECONDS
 from .transfer import check_genome_valid
@@ -152,80 +152,66 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
-def _better_best(current: EvaluatedIndividual | None,
-                 candidate: EvaluatedIndividual) -> EvaluatedIndividual:
-    """Best-ever tracking: a valid individual always beats an invalid one;
-    otherwise lower seconds wins and the earlier individual keeps ties."""
-    if current is None:
-        return candidate
-    current_invalid = current.status == INVALID
-    candidate_invalid = candidate.status == INVALID
-    if current_invalid != candidate_invalid:
-        return candidate if current_invalid else current
-    return candidate if candidate.seconds < current.seconds else current
-
-
 def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
            evaluate) -> SearchResult:
     """Run the full generation loop and return the best individual ever seen
     plus the per-generation history.
 
-    `evaluate(bits) -> Measurement` is only ever called for genomes that are
-    valid (no nested selections) and not in the dedup cache; invalid genomes
-    are priced at the penalty without evaluation, and so is every copy of a
-    genome whose trial timed out or was invalid.  The population is clamped
-    to the gene length (never below 2) so tiny search spaces do not drown in
-    duplicates; the effective size is reported in the result.
+    Each distinct genome has one outcome: nested (never evaluated), a failed
+    trial (status timeout or invalid), both priced at the penalty, or
+    measured.  Every copy reads it: each copy of a nested genome is invalid,
+    the first copy of an evaluated genome carries its trial's status, and
+    later copies are cache hits.  The best is the earliest individual with
+    the least (failed, seconds): always a first copy, and measured whenever
+    some trial was.  The population is clamped to the gene length (never
+    below 2) so tiny search spaces do not drown in duplicates; the
+    effective size is reported in the result.
     """
     gene_length = len(genome_map)
     size = min(config.population, max(2, gene_length))
     rng = random.Random(config.rng_seed)
-    measured: dict[str, Measurement | None] = {}   # the dedup cache; None if nested
+    nested = Measurement(config.penalty_seconds, INVALID)   # shared by every nested genome
+    outcomes: dict[str, Measurement] = {}   # the dedup cache, failures at the penalty
 
     population = init_population(size, gene_length, rng)
 
     best: EvaluatedIndividual | None = None
+    best_key = (True, math.inf)     # (failed, seconds) of best
     history: list[GenerationStats] = []
     evaluations = 0
     hits = 0
 
     for generation in range(1, config.generations + 1):
-        # measure the distinct valid genomes this generation adds, then
-        # score every individual from the cache
+        # evaluate the distinct valid genomes this generation adds, then
+        # score every individual from its genome's outcome
         for bits in dict.fromkeys(population):
-            if bits not in measured and not check_genome_valid(bits, genome_map, tree):
-                measured[bits] = None
-        fresh = list(dict.fromkeys(bits for bits in population if bits not in measured))
+            if bits not in outcomes and not check_genome_valid(bits, genome_map, tree):
+                outcomes[bits] = nested
+        fresh = [bits for bits in dict.fromkeys(population) if bits not in outcomes]
         if config.workers > 1 and len(fresh) > 1:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 new = dict(zip(fresh, pool.map(evaluate, fresh)))
         else:
             new = {bits: evaluate(bits) for bits in fresh}
-        measured.update(new)
+        for bits, measurement in new.items():
+            outcomes[bits] = (measurement if measurement.status == MEASURED
+                              else Measurement(config.penalty_seconds, measurement.status))
         evaluations += len(new)
 
         evaluated: list[EvaluatedIndividual] = []
         for bits in population:
-            # the first copy of a genome measured this generation carries its
-            # status; every other copy of a valid genome is a cache hit
-            measurement = new.pop(bits, None)
-            if measurement is not None:
-                status = measurement.status
-            elif measured[bits] is None:
-                measurement = Measurement(config.penalty_seconds, INVALID)
-                status = INVALID
+            outcome = outcomes[bits]
+            if outcome is nested or new.pop(bits, None) is not None:
+                status = outcome.status
             else:
-                measurement = measured[bits]
                 status = CACHE_HIT
                 hits += 1
-            # a nested genome and a failed trial, first copy or repeat, cost the penalty
-            seconds = (config.penalty_seconds if measurement.status in (TIMEOUT, INVALID)
-                       else measurement.seconds)
-            evaluated.append(EvaluatedIndividual(
-                bits, seconds, fitness_from_time(seconds), status))
-
-        for individual in evaluated:
-            best = _better_best(best, individual)
+            individual = EvaluatedIndividual(
+                bits, outcome.seconds, fitness_from_time(outcome.seconds), status)
+            evaluated.append(individual)
+            key = (outcome.status != MEASURED, outcome.seconds)
+            if key < best_key:
+                best, best_key = individual, key
 
         gen_best = max(range(size), key=lambda i: (evaluated[i].fitness, -i))
         history.append(GenerationStats(

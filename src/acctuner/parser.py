@@ -78,8 +78,10 @@ _LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
 # Numbers are ASCII digits only.  A line comment or a '#' line runs to the
 # end of the line, and on past each newline after a backslash and any blanks
 # or '\r': C joins those lines first (translation phase 2; gcc and clang
-# allow the blanks).  A '/*' without its '*/' matches alone.  `bad` takes any
-# other character that is not a blank, so finditer skips only trailing blanks.
+# allow the blanks).  So a block comment ends at a '*' and a '/' with any
+# such joins between them, and a '/*' without its end matches alone.  `bad`
+# takes any other character that is not a blank, so finditer skips only
+# trailing blanks.
 _TOKEN_RE = re.compile(r"""
     [ \t\r]*
     (?:
@@ -87,7 +89,7 @@ _TOKEN_RE = re.compile(r"""
     | (?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
     | (?P<nl>\n)
     | (?P<line_comment>(?://|\#)[^\\\n]*(?:\\(?:[ \t\r]*\n)?[^\\\n]*)*)
-    | (?P<block_comment>/\*(?:[\s\S]*?\*/)?)
+    | (?P<block_comment>/\*(?:[\s\S]*?\*(?:\\[ \t\r]*\n)*/)?)
     | (?P<punct>\+\+|--|[-+*/=!<>]=|&&|\|\||[-+*/%<>=!(){}\[\];,])
     | (?P<uident>[^\W\d_]\w*)
     | (?P<bad>[^ \t\r\n])

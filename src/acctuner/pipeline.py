@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from .analysis import (
     DEFAULT_GATE_THRESHOLD,
@@ -27,7 +26,8 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated, kernels_only_annotation
-from .errors import EmptyGenome, ModelError, OutputError, ParseError, _read_input
+from .errors import (EmptyGenome, ModelError, OutputError, ParseError, _read_input,
+                     _write_output)
 from .evaluation import (
     INVALID,
     MEASURED,
@@ -62,11 +62,9 @@ class PipelineConfig:
     gate_threshold: int = DEFAULT_GATE_THRESHOLD
 
 
-def _write(path: str, text: str):
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}") from exc
+def _write(path: str | None, text: str):
+    """Write an output as UTF-8 to path, or to standard output when None."""
+    _write_output(path, text, OutputError)
 
 
 def render_report(report: dict) -> str:
@@ -185,9 +183,9 @@ def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
     report["genome_map"] = list(genome_map.loop_ids)
     report["generations"] = [asdict(s) for s in result.history]
     report["best"] = asdict(result.best)
-    if result.best.status == INVALID:
-        # degenerate corner: every individual of every generation was an
-        # invalid nesting, so there is no code worth emitting
+    if result.best.status != MEASURED:
+        # no trial was measured: every individual was nested or its trial
+        # failed, so there is no code worth emitting
         return EXIT_NO_OFFLOADABLE_LOOPS, "no-valid-genome-evaluated"
 
     best_plan = plan_transfers(program, tree, accesses, result.best.genome, genome_map)

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from acctuner import errors
+from acctuner import errors, pipeline
 from acctuner.cli import main
+from acctuner.evaluation import Measurement
 from acctuner.pipeline import (
     EXIT_GATE_REJECT,
     EXIT_NO_OFFLOADABLE_LOOPS,
@@ -18,7 +19,7 @@ from acctuner.pipeline import (
 from acctuner.ga import GAConfig
 from acctuner.parser import MAX_NESTING
 
-from conftest import FIXTURES
+from conftest import FIXTURES, strip_pragmas
 
 # the error rows of the README's exit-code table
 EXIT_PARSE_ERROR, EXIT_PROFILE_ERROR, EXIT_EVALUATOR_FAILURE = 10, 11, 14
@@ -606,3 +607,120 @@ def test_loop_after_a_joined_comment_keeps_its_line(workdir, capsys):
     assert main(["analyze", "--source", str(src)]) == EXIT_OK
     [loop] = json.loads(capsys.readouterr().out)["loops"]
     assert (loop["line"], loop["col"]) == (6, 2)
+
+
+def test_tune_where_every_build_fails_measures_nothing(workdir, capsys):
+    for suffix in (".c", "_profile.json"):
+        shutil.copy(FIXTURES / "tune" / f"mix10{suffix}", workdir)
+    config = workdir / "failing.json"
+    config.write_text(json.dumps({"compile_cmd": "false", "run_cmd": "true"}))
+    code = main(tune_args(workdir, "mix10", **{
+        "--evaluator": f"cmd:{config}", "--gens": "5", "--seed": "1"}))
+    assert code == EXIT_NO_OFFLOADABLE_LOOPS
+    assert capsys.readouterr().out == "no-valid-genome-evaluated\n"
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["result"] == "no-valid-genome-evaluated"
+    assert report["best"]["status"] == "invalid"
+    assert not (workdir / "annotated.c").exists()
+
+
+@pytest.mark.parametrize("status", ["invalid", "timeout"])
+def test_search_with_every_trial_failed_emits_nothing(workdir, monkeypatch, status):
+    monkeypatch.setattr(pipeline, "build_evaluator",
+                        lambda *args: lambda bits: Measurement(0.01, status))
+    cfg = PipelineConfig(
+        source=str(workdir / "siblings3.c"),
+        profile=str(workdir / "siblings3_profile.json"),
+        evaluator="unused",
+        ga=GAConfig(population=2, generations=3),
+        out=str(workdir / "best.c"),
+        report=str(workdir / "report.json"),
+    )
+    code, report = run_pipeline(cfg)
+    assert (code, report["result"]) == (EXIT_NO_OFFLOADABLE_LOOPS, "no-valid-genome-evaluated")
+    assert report["best"]["status"] == status
+    assert not (workdir / "best.c").exists()
+
+
+# an ASCII locale without UTF-8 mode: a write in the locale's encoding fails
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_acctuner(*args, stdout=subprocess.PIPE):
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "acctuner", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+def is_annotation_of(output: bytes, source: bytes) -> bool:
+    """True when output is source plus at least one `#pragma acc` line."""
+    text = output.decode("utf-8")
+    return strip_pragmas(text).encode("utf-8") == source and "#pragma acc " in text
+
+
+@pytest.fixture
+def euro_source(workdir):
+    src = workdir / "euro.c"
+    src.write_bytes("// cost in € per run\n".encode("utf-8")
+                    + (workdir / "siblings3.c").read_bytes())
+    return src
+
+
+def test_emit_non_ascii_source_to_file_under_ascii_locale(workdir, euro_source):
+    out = workdir / "x.c"
+    proc = run_acctuner("emit", "--source", str(euro_source), "--genome", "100",
+                        "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert is_annotation_of(out.read_bytes(), euro_source.read_bytes())
+
+
+def test_emit_non_ascii_source_to_stdout_under_ascii_locale(euro_source):
+    proc = run_acctuner("emit", "--source", str(euro_source), "--genome", "100")
+    assert proc.returncode == 0, proc.stderr
+    assert is_annotation_of(proc.stdout, euro_source.read_bytes())
+
+
+def test_sim_tune_of_non_ascii_source_under_ascii_locale(workdir, euro_source):
+    proc = run_acctuner(*tune_args(workdir, **{"--source": str(euro_source)}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"ok\n"
+    assert is_annotation_of((workdir / "annotated.c").read_bytes(), euro_source.read_bytes())
+
+
+def test_cmd_trial_of_non_ascii_source_under_ascii_locale(workdir, euro_source):
+    # the probe's compile step keeps a copy of each trial source it is given
+    captured = workdir / "captured"
+    captured.mkdir()
+    config = workdir / "oracle.json"
+    config.write_text(json.dumps({"compile_cmd": f"cp '{{src}}' '{captured}'"}))
+    proc = run_acctuner("check", "--source", str(euro_source), "--oracle", f"cmd:{config}")
+    assert proc.returncode == 0, proc.stderr
+    trials = sorted(captured.iterdir())
+    assert len(trials) == 3
+    for trial in trials:
+        assert is_annotation_of(trial.read_bytes(), euro_source.read_bytes())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_analyze_to_a_full_device_is_output_error(workdir):
+    with open("/dev/full", "wb") as full:
+        proc = run_acctuner("analyze", "--source", str(workdir / "siblings3.c"), stdout=full)
+    assert proc.returncode == 1
+    [line] = proc.stderr.decode().splitlines()
+    error = json.loads(line)["error"]
+    assert (error["type"], error["exit_code"]) == ("OutputError", 1)
+
+
+# '*', backslash-newline, '/' closes the first comment, so the loop is code
+SPLICED_COMMENT_END = ("int main() { int i; float a[8]; /* note *\\\n"
+                       "/ for (i = 0; i < 8; i++) { a[i] = 1.0; } /* end */ return 0; }\n")
+
+
+def test_loop_after_a_spliced_comment_end_is_a_loop(workdir, capsys):
+    src = workdir / "spliced.c"
+    src.write_text(SPLICED_COMMENT_END)
+    assert main(["check", "--source", str(src)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["genome_map"] == [0]
+    assert main(["analyze", "--source", str(src)]) == EXIT_OK
+    [loop] = json.loads(capsys.readouterr().out)["loops"]
+    assert (loop["line"], loop["col"]) == (2, 3)

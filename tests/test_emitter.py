@@ -189,8 +189,9 @@ def test_lowering_family_plans_are_placed():
 
 
 # Lines end only at '\n', as the tokenizer counts them, and a comment that
-# ends in a backslash runs on over the next line; a loop that follows other
-# code on its line gets a line of its own.
+# ends in a backslash runs on over the next line, as does a block comment's
+# closing '*' before one; a loop that follows other code on its line gets a
+# line of its own.
 PLACEMENT_PROGRAMS = {
     "joined_comment": "int main(){int i; float a[4];\n// first \\\nsecond\n"
                       "for(i=0;i<4;i++){ a[i] = 1.0; }\nreturn 0;}\n",
@@ -202,6 +203,8 @@ PLACEMENT_PROGRAMS = {
                    "  for(i=0;i<4;i++){ for(j=0;j<4;j++){ m[i][j] = 1.0; } }\n"
                    "  m[0][0] = 2.0; for(i=0;i<4;i++){ m[i][0] = 3.0; }\n"
                    "return 0;}\n",
+    "spliced_comment_end": "int main() { int i; float a[8]; /* note *\\\n"
+                           "/ for (i = 0; i < 8; i++) { a[i] = 1.0; } /* end */ return 0; }\n",
 }
 
 
@@ -210,6 +213,7 @@ def test_directives_placed_before_their_loops(name):
     source = PLACEMENT_PROGRAMS[name]
     program, tree, accesses = analyze(source)
     gm = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
+    assert len(gm) > 0
     for k in range(1, 2 ** len(gm)):
         bits = format(k, f"0{len(gm)}b")
         if at.check_genome_valid(bits, gm, tree):

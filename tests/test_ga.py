@@ -276,6 +276,20 @@ def test_run_ga_invalid_nested_selection_penalized_without_eval():
     assert result.best.status != "invalid"
 
 
+def recorded_search(monkeypatch, config, gene_length, evaluate):
+    """run_ga's result plus every individual it scored, in order."""
+    scored = []
+
+    def recording_individual(*args):
+        scored.append(EvaluatedIndividual(*args))
+        return scored[-1]
+
+    monkeypatch.setattr(ga, "EvaluatedIndividual", recording_individual)
+    result = run_ga(config, GenomeMap(tuple(range(gene_length))),
+                    sibling_tree(gene_length), evaluate)
+    return result, scored
+
+
 def test_run_ga_prices_every_failed_trial(monkeypatch):
     # the evaluator reports a failed trial with the seconds its step ran;
     # run_ga alone prices it, at every copy, at the configured penalty
@@ -291,16 +305,8 @@ def test_run_ga_prices_every_failed_trial(monkeypatch):
             return Measurement(0.02, "timeout")
         return Measurement(1.0 + value / 100, "measured")
 
-    scored = []
-    better_best = ga._better_best
-
-    def recording_better_best(current, candidate):
-        scored.append(candidate)
-        return better_best(current, candidate)
-
-    monkeypatch.setattr(ga, "_better_best", recording_better_best)
     config = GAConfig(population=4, generations=10, penalty_seconds=50.0, rng_seed=2)
-    result = run_ga(config, GenomeMap((0, 1, 2, 3)), sibling_tree(4), evaluate)
+    result, scored = recorded_search(monkeypatch, config, 4, evaluate)
 
     seen = set()
     statuses = set()
@@ -315,6 +321,43 @@ def test_run_ga_prices_every_failed_trial(monkeypatch):
         seen.add(individual.genome)
     assert statuses == {"invalid", "timeout", "cachehit"}
     assert result.best.genome not in failed and result.best.seconds < 50.0
+
+
+def test_run_ga_all_invalid_trials_report_an_invalid_best():
+    # every trial fails; the elite copy of generation 2 is a cache hit, which
+    # must not outrank the failed first copy it repeats
+    def evaluate(bits):
+        return Measurement(0.01, "invalid")
+
+    config = GAConfig(population=2, generations=3, rng_seed=0)
+    result = run_ga(config, GenomeMap((0, 1)), sibling_tree(2), evaluate)
+    assert result.cache_hits > 0
+    assert result.best.status == "invalid"
+    assert result.best.seconds == config.penalty_seconds
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_run_ga_best_is_earliest_least_failed_then_seconds(monkeypatch, seed):
+    # a seeded third of the 6-gene genomes fail; the others are measured at
+    # distinct times, some slower than the penalty
+    rng = random.Random(seed)
+    genomes = ["".join(bits) for bits in itertools.product("01", repeat=6)]
+    times = [t / 10 for t in rng.sample(range(1, 200), len(genomes))]
+    outcome = {bits: Measurement(time, "measured") for bits, time in zip(genomes, times)}
+    for bits in rng.sample(genomes, len(genomes) // 3):
+        outcome[bits] = Measurement(0.01, rng.choice(("invalid", "timeout")))
+    config = GAConfig(population=6, generations=4, penalty_seconds=10.0, rng_seed=seed)
+    result, scored = recorded_search(monkeypatch, config, 6, outcome.__getitem__)
+
+    def failed(individual):
+        return outcome[individual.genome].status != "measured"
+
+    expected = min(range(len(scored)),
+                   key=lambda i: (failed(scored[i]), scored[i].seconds, i))
+    assert result.best is scored[expected]
+    assert expected == [ind.genome for ind in scored].index(result.best.genome)
+    some_measured = any(not failed(ind) for ind in scored)
+    assert (result.best.status == "measured") == some_measured
 
 
 def test_run_ga_elite_monotonicity(tune_fixtures):

@@ -3,7 +3,7 @@ import pytest
 import acctuner as at
 from acctuner.errors import ParseError
 from acctuner.nodes import Decl, Loop
-from acctuner.parser import parse
+from acctuner.parser import parse, tokenize
 
 
 def test_minimal_program():
@@ -143,6 +143,22 @@ int main() { /* block
     program = parse(text)
     tree = at.build_loop_tree(program)
     assert len(tree.nodes) == 1
+
+
+# a '*' then backslash-newlines, each after optional blanks or '\r', then
+# '/' closes a block comment, since C joins the lines first
+@pytest.mark.parametrize("splice", ["\\\n", "\\  \n", "\\\r\n", "\\\n\\\t\n"],
+                         ids=["plain", "blanks", "cr", "twice"])
+def test_block_comment_closes_across_joined_lines(splice):
+    tokens = tokenize(f"/* note *{splice}/ x /* end */ y")
+    line = 1 + splice.count("\n")
+    assert [(t.text, t.line, t.col) for t in tokens] == [
+        ("x", line, 3), ("y", line, 15), ("", line, 16)]
+
+
+def test_joined_star_without_slash_does_not_close_a_block_comment():
+    tokens = tokenize("/* a *\\\nx */ y")
+    assert [(t.text, t.line, t.col) for t in tokens] == [("y", 2, 6), ("", 2, 7)]
 
 
 def test_source_text_retained_verbatim():
