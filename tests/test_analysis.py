@@ -245,6 +245,14 @@ CORPUS = [
         " for(i=0;i<100;i++){ a[i] = 1.0; } s = i; return s;}",
         0, False, LIVE_OUT_SCALAR,
         marks=pytest.mark.xfail(strict=True, reason="no liveness of the counter")),
+    # the body writes its own block-scoped t, so the outer t read after the
+    # loop is never written in it; the oracle keys reads on (function, name)
+    # and calls loop 0 live_out_scalar
+    pytest.param(
+        "int main(){int i; float t; float a[100]; t = 0.0;"
+        " for(i=0;i<100;i++){ float t; t = a[i]; } return t;}",
+        0, True, ELIGIBLE,
+        marks=pytest.mark.xfail(strict=True, reason="read count ignores block scope")),
 ]
 
 

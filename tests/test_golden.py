@@ -8,9 +8,10 @@ no valid genome evaluated), the stdout of `gate`, `check` and
 `plan-transfers` on synergy5 (genome 11000, whose merged copy(a,b) is
 hoisted to loop 0), and of `check` on stress75.
 
-It pins the front end: the sha256 of `repr(tokenize(text))` and of
-`repr(parse(text))` for every `.c` under tests/fixtures/ and for a few
-written edge-case programs, in `frontend.json`.
+It pins the front end: the sha256 of `repr(tokenize(text))`, of
+`repr(parse(text))` and of the repr of that program's loop tree and access
+list, for every `.c` under tests/fixtures/ and for a few written edge-case
+programs, in `frontend.json`.
 
 It also pins, per genome, the transfer plan and the simulated seconds:
 every valid genome of the small fixtures and a seeded random sample of
@@ -45,6 +46,7 @@ import lowering_family
 from acctuner.analysis import build_genome_map, check_all_parallelizable, load_profile
 from acctuner.cli import main
 from acctuner.evaluation import load_cost_model, simulate_time
+from acctuner.loops import build_loop_tree, extract_accesses
 from acctuner.parser import parse, tokenize
 from acctuner.pipeline import load_program
 from acctuner.transfer import check_genome_valid, plan_transfers
@@ -92,6 +94,33 @@ EDGE_SOURCES = {
     "trailing_blanks": "int main(){ return 0; }  \t ",
     "blank": " \n\t\n",
     "empty": "",
+    # one case of each rule that orders the access list: a compound target,
+    # nested subscripts, whole-array and shadowed call arguments, declarators
+    # with dims or a reading initializer, a declaration as an unbraced loop
+    # body, a parameter's dimension, while and do-while headers, a return
+    # two loops deep and a block that shadows an outer name
+    "access_order": (
+        "int scale(float v[n + 1], int n){\n"
+        "  int k;\n"
+        "  for (k = 0; k < n; k++) { v[k] *= 2.0; }\n"
+        "  return 0;\n"
+        "}\n"
+        "int main(){\n"
+        "  int i; int j; int n = 4; int c[4];\n"
+        "  float a[4]; float b[n][2], s = b[0][1] + n;\n"
+        "  float t;\n"
+        "  t = 0.0;\n"
+        "  for (i = 0; i < n; i++) int d = c[i];\n"
+        "  for (i = 0; i < n; i++) { a[i] += b[c[i]][0]; }\n"
+        "  for (i = 0; i < n; i++) { scale(a, n); scale(t, a[i]); }\n"
+        "  i = 0;\n"
+        "  while (i < n) { a[c[i]] = s; i++; }\n"
+        "  do { i--; } while (i > 0);\n"
+        "  for (i = 0; i < n; i++) { for (j = 0; j < 2; j++) { if (b[i][j] > 0.0) return i; } }\n"
+        "  for (i = 0; i < n; i++) { float t; t = a[i]; }\n"
+        "  { int a; a = 1; scale(a, n); }\n"
+        "  return t;\n"
+        "}\n"),
 }
 
 
@@ -204,6 +233,10 @@ def plan_lines(stem: str) -> bytes:
     return "".join(lines).encode()
 
 
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 def frontend_sources() -> dict[str, str]:
     """name -> text: every .c under tests/fixtures/, then the edge cases."""
     sources = {path.relative_to(FIXTURES).as_posix(): path.read_text()
@@ -213,12 +246,16 @@ def frontend_sources() -> dict[str, str]:
 
 
 def frontend_digests() -> bytes:
-    """sha256 of the token list and of the AST of each frontend source."""
+    """sha256 of the token list, the AST, the loop tree and the access list
+    of each frontend source."""
     digests = {}
     for name, text in frontend_sources().items():
+        program = parse(text)
         digests[name] = {
-            "tokens": hashlib.sha256(repr(tokenize(text)).encode()).hexdigest(),
-            "ast": hashlib.sha256(repr(parse(text)).encode()).hexdigest(),
+            "tokens": _sha256(tokenize(text)),
+            "ast": _sha256(program),
+            "tree": _sha256(build_loop_tree(program)),
+            "accesses": _sha256(extract_accesses(program)),
         }
     return (json.dumps(digests, indent=1) + "\n").encode()
 
@@ -243,7 +280,7 @@ def test_frontend_matches_golden():
     actual = json.loads(frontend_digests())
     assert sorted(actual) == sorted(expected)
     for name in sorted(expected):
-        assert actual[name] == expected[name], f"{name}: tokens or AST differ"
+        assert actual[name] == expected[name], f"{name}: tokens, AST, tree or accesses differ"
 
 
 if __name__ == "__main__":
