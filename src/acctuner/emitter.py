@@ -4,11 +4,13 @@ Directive lines go before their target loop's line, with that line's
 indentation; lines end only at '\\n', as the tokenizer counts them.  A loop
 that shares its line with earlier code first gets a line of its own: that
 code keeps its bytes and ends the line, then come the directive lines, then
-the indentation and the loop with the rest of the line.  No other byte
-changes, so deleting the directive lines recovers the input whenever every
-annotated loop starts its line.  At one loop: the data directive (clauses in
-copy, copyin, copyout order, variables sorted, no internal spaces), then
-`#pragma acc kernels` when the loop itself is selected.
+the indentation and the loop with the rest of the line.  Each line break
+added takes the line end of the loop's line, '\\r\\n' or '\\n', so a CRLF
+source stays CRLF.  No other byte changes, so deleting the directive lines
+recovers the input whenever every annotated loop starts its line.  At one
+loop: the data directive (clauses in copy, copyin, copyout order, variables
+sorted, no internal spaces), then `#pragma acc kernels` when the loop itself
+is selected.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _render(program: Program, tree: LoopTree, selected: set[int], directives) ->
                 start, lead = col, indent
             out.extend(indent + pragma for pragma in at_col[col])
         out.append(lead + line[start:])
-        lines[index] = "\n".join(out)
+        lines[index] = ("\r\n" if line.endswith("\r") else "\n").join(out)
     return "\n".join(lines)
 
 

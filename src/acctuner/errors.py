@@ -68,12 +68,14 @@ class UsageError(AutotunerError):
 
 
 def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json: bool = True):
-    """The text of an input file read as UTF-8, parsed as JSON when `as_json`.
-    A file that cannot be opened, decoded or parsed raises `error`: ValueError
-    covers a bad byte, bad JSON and an integer past Python's digit limit, and
-    RecursionError a JSON value nested too deep."""
+    """The text of an input file read as UTF-8, parsed as JSON when `as_json`;
+    otherwise its line ends are kept as they are.  A file that cannot be
+    opened, decoded or parsed raises `error`: ValueError covers a bad byte,
+    bad JSON and an integer past Python's digit limit, and RecursionError a
+    JSON value nested too deep."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=None if as_json else "") as file:
+            text = file.read()
         return json.loads(text) if as_json else text
     except (OSError, ValueError, RecursionError) as exc:
         raise error(f"cannot read {what}: {exc}") from exc

@@ -1,35 +1,20 @@
-"""Loop-tree construction and variable-access extraction.
+"""The loop tree and the variable accesses of a program.
 
 The loop tree numbers every for/while/do-while statement in textual
 pre-order and records nesting, so genome positions stay stable across runs.
-Access extraction classifies every identifier occurrence as define/set/ref
-together with its enclosing-loop chain; those records drive both the
-parallelizability checks and the data-transfer planner.
+Each access classifies one identifier occurrence as define/set/ref together
+with its enclosing-loop chain; those records drive both the
+parallelizability checks and the data-transfer planner.  The parser records
+both as it reads the source (parser.py says in what order), so
+`build_loop_tree` and `extract_accesses` only hand them out, and the two
+helpers at the end read AST nodes for the parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .nodes import (
-    Assign,
-    BinaryExpr,
-    Block,
-    CallExpr,
-    CallStmt,
-    Decl,
-    Function,
-    If,
-    IncDec,
-    IndexExpr,
-    Loop,
-    NumLit,
-    Program,
-    Return,
-    SourcePos,
-    UnaryExpr,
-    VarExpr,
-)
+from .nodes import Assign, BinaryExpr, IncDec, Loop, NumLit, Program, SourcePos, VarExpr
 
 DEFINE = "define"
 SET = "set"
@@ -82,6 +67,23 @@ class VarAccess:
     indices: tuple | None = None    # per-dimension (var|None, offset), or None
 
 
+def build_loop_tree(program: Program) -> LoopTree:
+    """The program's loops as a pre-order-numbered tree, as the parse recorded them."""
+    return LoopTree(program.loop_nodes)
+
+
+def extract_accesses(program: Program) -> list[VarAccess]:
+    """Every identifier occurrence classified as define/set/ref, in the
+    order the parse recorded them (parser.py's docstring).
+
+    Compound assignments produce both a set and a ref at the same position.
+    Whole arrays passed to calls are conservatively marked ref and set.
+    """
+    return program.accesses
+
+
+# -- what the parser reads off AST nodes --
+
 def _canonical_counter(loop: Loop) -> str | None:
     """The counter of a canonical counted loop, else None.
 
@@ -105,39 +107,6 @@ def _canonical_counter(loop: Loop) -> str | None:
     return None
 
 
-def build_loop_tree(program: Program) -> LoopTree:
-    """Collect all loop statements into a pre-order-numbered tree."""
-    nodes: list[LoopNode] = []
-
-    def walk(stmt, parent: int | None, function: str) -> bool:
-        """Add the loops in stmt; return whether stmt holds a return."""
-        if isinstance(stmt, Loop):
-            node = LoopNode(stmt.loop_id, stmt.kind, parent, function, stmt.pos,
-                            _canonical_counter(stmt))
-            nodes.append(node)
-            node.early_exit = walk(stmt.body, stmt.loop_id, function)
-            return node.early_exit
-        if isinstance(stmt, Block):
-            returns = False
-            for child in stmt.statements:
-                returns = walk(child, parent, function) or returns
-            return returns
-        if isinstance(stmt, If):
-            returns = walk(stmt.then_body, parent, function)
-            if stmt.else_body is not None:
-                returns = walk(stmt.else_body, parent, function) or returns
-            return returns
-        # Decl/Assign/IncDec/CallStmt contain no loops
-        return isinstance(stmt, Return)
-
-    for fn in program.functions:
-        walk(fn.body, None, fn.name)
-
-    tree = LoopTree(nodes)
-    assert [n.loop_id for n in tree.nodes] == list(range(len(tree.nodes)))
-    return tree
-
-
 def _normalize_index(expr) -> tuple | None:
     """Reduce an index expression to (var, offset) where possible.
 
@@ -157,145 +126,3 @@ def _normalize_index(expr) -> tuple | None:
                 and isinstance(right, VarExpr)):
             return (right.name, int(left.value))
     return None
-
-
-class _AccessWalker:
-    def __init__(self, fn: Function, out: list[VarAccess]):
-        self.fn = fn
-        self.out = out
-        self.scopes: list[dict[str, bool]] = [{}]   # name -> is_array, innermost last
-        self.loop_path: tuple[int, ...] = ()    # shared by every access it covers
-        self.header_of: int | None = None
-
-    def run(self):
-        for param in self.fn.params:
-            self.scopes[-1][param.name] = param.is_array
-            self.emit(param.name, DEFINE, param.pos, is_array=param.is_array)
-        self.stmt(self.fn.body)
-
-    def lookup(self, name: str) -> bool | None:
-        """Whether the innermost declaration of name is an array; None if undeclared."""
-        for names in reversed(self.scopes):
-            if name in names:
-                return names[name]
-        return None
-
-    def emit(self, name: str, kind: str, pos: SourcePos,
-             is_array: bool | None = None, indices: tuple | None = None):
-        if is_array is None:
-            declared = self.lookup(name)
-            is_array = bool(indices) if declared is None else declared
-        self.out.append(VarAccess(name, is_array, kind, pos, self.loop_path,
-                                  self.fn.name, self.header_of, indices))
-
-    # -- expressions: everything read --
-
-    def expr(self, e):
-        """Emit in source order off a stack: only a call recurses, so chains stay flat."""
-        pending = [e]
-        while pending:
-            e = pending.pop()
-            kind = type(e)
-            if kind is VarExpr:
-                self.emit(e.name, REF, e.pos)
-            elif kind is BinaryExpr:
-                pending += (e.right, e.left)
-            elif kind is IndexExpr:
-                norm = tuple(_normalize_index(ix) for ix in e.indices)
-                self.emit(e.name, REF, e.pos, is_array=True, indices=norm)
-                pending += reversed(e.indices)
-            elif kind is UnaryExpr:
-                pending.append(e.operand)
-            elif kind is CallExpr:
-                self.call(e)
-
-    def call(self, e: CallExpr):
-        # An array passed whole to a call may be read and written inside the
-        # callee; record both, with unknown element indices.
-        for arg in e.args:
-            if isinstance(arg, VarExpr) and self.lookup(arg.name):
-                self.emit(arg.name, REF, arg.pos, is_array=True)
-                self.emit(arg.name, SET, arg.pos, is_array=True)
-            else:
-                self.expr(arg)
-
-    # -- statements --
-
-    def assign(self, stmt: Assign):
-        target = stmt.target
-        if isinstance(target, IndexExpr):
-            norm = tuple(_normalize_index(ix) for ix in target.indices)
-            self.emit(target.name, SET, target.pos, is_array=True, indices=norm)
-            if stmt.op != "=":
-                self.emit(target.name, REF, target.pos, is_array=True, indices=norm)
-            for ix in target.indices:
-                self.expr(ix)
-        else:
-            self.emit(target.name, SET, target.pos)
-            if stmt.op != "=":
-                self.emit(target.name, REF, target.pos)
-        self.expr(stmt.value)
-
-    def incdec(self, stmt: IncDec):
-        self.emit(stmt.target.name, SET, stmt.target.pos)
-        self.emit(stmt.target.name, REF, stmt.target.pos)
-
-    def header(self, loop_id: int, *parts):
-        prev = self.header_of
-        self.header_of = loop_id
-        for part in parts:      # a missing part is None, which expr skips
-            if isinstance(part, Assign):
-                self.assign(part)
-            elif isinstance(part, IncDec):
-                self.incdec(part)
-            else:
-                self.expr(part)
-        self.header_of = prev
-
-    def stmt(self, s):
-        if isinstance(s, Decl):
-            self.scopes[-1][s.name] = s.is_array
-            self.emit(s.name, DEFINE, s.pos, is_array=s.is_array)
-            for dim in s.dims:
-                self.expr(dim)
-            self.expr(s.init)
-        elif isinstance(s, Assign):
-            self.assign(s)
-        elif isinstance(s, IncDec):
-            self.incdec(s)
-        elif isinstance(s, If):
-            self.expr(s.cond)
-            self.stmt(s.then_body)
-            if s.else_body is not None:
-                self.stmt(s.else_body)
-        elif isinstance(s, Loop):
-            outer = self.loop_path
-            self.loop_path = outer + (s.loop_id,)
-            if s.kind == "dowhile":     # the condition follows the body
-                self.stmt(s.body)
-                self.header(s.loop_id, s.cond)
-            else:                       # a while loop has no init or step
-                self.header(s.loop_id, s.init, s.cond, s.step)
-                self.stmt(s.body)
-            self.loop_path = outer
-        elif isinstance(s, CallStmt):
-            self.call(s.call)
-        elif isinstance(s, Return):
-            self.expr(s.value)
-        elif isinstance(s, Block):
-            self.scopes.append({})
-            for child in s.statements:
-                self.stmt(child)
-            self.scopes.pop()
-
-
-def extract_accesses(program: Program) -> list[VarAccess]:
-    """Classify every identifier occurrence as define/set/ref.
-
-    Compound assignments produce both a set and a ref at the same position.
-    Whole arrays passed to calls are conservatively marked ref and set.
-    """
-    out: list[VarAccess] = []
-    for fn in program.functions:
-        _AccessWalker(fn, out).run()
-    return out

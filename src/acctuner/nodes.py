@@ -132,4 +132,8 @@ class Function:
 class Program:
     functions: list[Function] = field(default_factory=list)
     source_text: str = ""
+    # what the parser records along the way (loops.py); left out of the
+    # repr and of equality, which stay the AST's
+    loop_nodes: list = field(default_factory=list, repr=False, compare=False)
+    accesses: list = field(default_factory=list, repr=False, compare=False)
 

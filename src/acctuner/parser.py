@@ -26,6 +26,22 @@ cap keeps every recursive pass over the tree far from Python's stack limit.
 Tokens, and the nodes that keep a position (see nodes.py), carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
 counts as one column.
+
+The one pass over the tokens also records, on the Program, the loop tree
+and every variable access (their types are in loops.py), so no later pass
+walks the AST again.  A loop's LoopNode is numbered when its keyword is
+read, before the loops in its body; its parent is the innermost open loop,
+and a `return` marks every open loop as left early.  Accesses follow the
+source, one per identifier occurrence and two (at one position) for a
+compound assignment's target, for `++`/`--` and for an array passed whole to
+a call, which gets a ref then a set.  Where a record needs what comes later,
+its list slot is reserved first: an indexed name's access goes ahead of its
+subscripts' reads, and an assignment target's set, then a compound
+operator's ref, ahead of the target's subscript reads.  A declarator's
+define, as an array if `[` follows the name, goes ahead of its dims and
+initializer; a parameter's dims record nothing.  Each block, braced or a
+lone loop or if body, opens a scope, and a name's access is an array's
+when its innermost declaration is.
 """
 
 from __future__ import annotations
@@ -34,6 +50,8 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
+from .loops import (DEFINE, REF, SET, LoopNode, VarAccess, _canonical_counter,
+                    _normalize_index)
 from .nodes import (
     Assign,
     BinaryExpr,
@@ -149,8 +167,14 @@ class _Parser:
         self.path = path
         self.tokens = tokenize(text, path)
         self.i = 0
-        self.next_loop_id = 0
         self.depth = 0          # open nesting levels, at most MAX_NESTING
+        # what the parse records besides the AST (module docstring)
+        self.loop_nodes: list[LoopNode] = []
+        self.accesses: list[VarAccess] = []
+        self.function = ""                          # the function being parsed
+        self.scopes: list[dict[str, bool]] = []     # name -> is_array, innermost last
+        self.loop_path: tuple[int, ...] = ()        # open loops, outermost first
+        self.header_of: int | None = None           # loop whose header is being read
 
     # -- token plumbing --
     # The last token is EOF: advance() never moves past it, and its empty
@@ -199,13 +223,31 @@ class _Parser:
         if tok.kind == "ident" and tok.text in UNSUPPORTED_KEYWORDS:
             self.error(f"unsupported construct {tok.text!r}", tok)
 
+    # -- loop and access records --
+
+    def is_array(self, name: str) -> bool:
+        """Whether the innermost declaration of name is an array; False if undeclared."""
+        for names in reversed(self.scopes):
+            if name in names:
+                return names[name]
+        return False
+
+    def access(self, name: str, kind: str, pos: SourcePos, is_array: bool,
+               indices: tuple | None = None) -> VarAccess:
+        return VarAccess(name, is_array, kind, pos, self.loop_path, self.function,
+                         self.header_of, indices)
+
+    def declare(self, name: Token, is_array: bool):
+        self.scopes[-1][name.text] = is_array
+        self.accesses.append(self.access(name.text, DEFINE, name.pos, is_array))
+
     # -- grammar --
 
     def parse_program(self) -> Program:
         functions = []
         while self.peek().kind != "eof":
             functions.append(self.parse_function())
-        return Program(functions, self.text)
+        return Program(functions, self.text, self.loop_nodes, self.accesses)
 
     def parse_function(self) -> Function:
         start = self.peek()
@@ -214,6 +256,8 @@ class _Parser:
             self.error(f"expected a function definition, found {start.text!r}", start)
         self.advance()
         name = self.expect_ident()
+        self.function = name.text
+        self.scopes = [{}]      # the parameters'; the body opens its own
         self.expect("(")
         params: list[Decl] = []
         if not self.at(")"):
@@ -237,7 +281,10 @@ class _Parser:
             self.error(f"expected parameter type, found {type_tok.text!r}", type_tok)
         self.advance()
         name = self.expect_ident()
+        self.declare(name, self.at("["))
+        recorded = len(self.accesses)
         dims = self.parse_dims(allow_empty=True)
+        del self.accesses[recorded:]    # a parameter's dims record nothing
         return Decl(name.text, dims, None, name.pos)
 
     def parse_dims(self, allow_empty: bool) -> tuple:
@@ -257,6 +304,7 @@ class _Parser:
 
     def parse_block(self) -> Block:
         self.nest(self.expect("{"))
+        self.scopes.append({})
         statements = []
         while not self.at("}"):
             if self.peek().kind == "eof":
@@ -267,6 +315,7 @@ class _Parser:
             else:
                 statements.append(stmt)
         self.expect("}")
+        self.scopes.pop()
         self.depth -= 1
         return Block(statements)
 
@@ -299,6 +348,7 @@ class _Parser:
 
     def parse_declarator(self) -> Decl:
         name = self.expect_ident()
+        self.declare(name, self.at("["))
         dims = self.parse_dims(allow_empty=False)
         init = None
         if self.accept("="):
@@ -320,20 +370,33 @@ class _Parser:
         return stmt
 
     def parse_assign_or_incdec(self):
+        """An assignment or `++`/`--`.  The target's set, then the ref of a
+        compound operator or of `++`/`--`, take the slot of the target's ref,
+        ahead of its subscripts' reads."""
         name = self.expect_ident()
-        if self.peek().text in ("++", "--"):
-            return IncDec(VarExpr(name.text, name.pos), self.advance().text)
+        accesses = self.accesses
+        slot = len(accesses)
         if self.at("["):
-            target = self.parse_index(name)
+            target = self.parse_index(name)     # records its ref in the slot
         else:
             target = VarExpr(name.text, name.pos)
-        op_tok = self.peek()
-        if op_tok.text not in ASSIGN_OPS:
+            accesses.append(self.access(name.text, REF, target.pos, self.is_array(name.text)))
+        ref = accesses[slot]
+        op_tok = self.advance()
+        incdec = op_tok.text in ("++", "--") and type(target) is VarExpr
+        if not incdec and op_tok.text not in ASSIGN_OPS:
             self.error(f"expected an assignment operator, found {op_tok.text!r}", op_tok)
-        self.advance()
+        set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.indices)
+        accesses[slot:slot + 1] = (set_,) if op_tok.text == "=" else (set_, ref)
+        if incdec:
+            return IncDec(target, op_tok.text)
         return Assign(target, op_tok.text, self.parse_expr())
 
     def parse_index(self, name: Token) -> IndexExpr:
+        """name's subscripts, with the array's ref recorded ahead of their reads."""
+        accesses = self.accesses
+        slot = len(accesses)
+        accesses.append(None)
         indices = []
         while self.at("["):
             self.nest(self.advance())
@@ -342,7 +405,10 @@ class _Parser:
             self.depth -= 1
         if len(indices) > 2:
             self.error("arrays of more than two dimensions are not supported", name)
-        return IndexExpr(name.text, tuple(indices), name.pos)
+        pos = name.pos
+        accesses[slot] = self.access(name.text, REF, pos, True,
+                                     tuple(_normalize_index(ix) for ix in indices))
+        return IndexExpr(name.text, tuple(indices), pos)
 
     def parse_if(self) -> If:
         self.expect("if")
@@ -360,42 +426,58 @@ class _Parser:
         if self.at("{"):
             return self.parse_block()
         self.nest(self.peek())
+        self.scopes.append({})
         stmt = self.parse_stmt()
+        self.scopes.pop()
         self.depth -= 1
         return Block(stmt if isinstance(stmt, list) else [stmt])
 
     def parse_loop(self) -> Loop:
         """A for, while or do-while loop, numbered before the loops in its body."""
         start = self.advance()
-        loop_id = self.next_loop_id
-        self.next_loop_id += 1
+        loop_id = len(self.loop_nodes)
+        outer = self.loop_path
+        node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text,
+                        outer[-1] if outer else None, self.function, start.pos, None)
+        self.loop_nodes.append(node)
+        self.loop_path = outer + (loop_id,)
+        init = step = None
         if start.text == "do":
             body = self.parse_body()
             self.expect("while")
             self.expect("(")
+            self.header_of = loop_id
             cond = self.parse_expr()
+            self.header_of = None
             self.expect(")")
             self.expect(";")
-            return Loop("dowhile", None, cond, None, body, loop_id, start.pos)
-        init = step = None
-        self.expect("(")
-        if start.text == "while":
-            cond = self.parse_expr()
         else:
-            if not self.at(";"):
-                init = self.parse_assign_or_incdec()
-                if isinstance(init, IncDec):
-                    self.error("for-loop initializer must be an assignment", start)
-            self.expect(";")
-            cond = None if self.at(";") else self.parse_expr()
-            self.expect(";")
-            if not self.at(")"):
-                step = self.parse_assign_or_incdec()
-        self.expect(")")
-        return Loop(start.text, init, cond, step, self.parse_body(), loop_id, start.pos)
+            self.expect("(")
+            self.header_of = loop_id
+            if start.text == "while":
+                cond = self.parse_expr()
+            else:
+                if not self.at(";"):
+                    init = self.parse_assign_or_incdec()
+                    if isinstance(init, IncDec):
+                        self.error("for-loop initializer must be an assignment", start)
+                self.expect(";")
+                cond = None if self.at(";") else self.parse_expr()
+                self.expect(";")
+                if not self.at(")"):
+                    step = self.parse_assign_or_incdec()
+            self.expect(")")
+            self.header_of = None
+            body = self.parse_body()
+        self.loop_path = outer
+        loop = Loop(node.kind, init, cond, step, body, loop_id, start.pos)
+        node.counter = _canonical_counter(loop)
+        return loop
 
     def parse_return(self) -> Return:
         self.expect("return")
+        for loop_id in self.loop_path:      # the return leaves every open loop
+            self.loop_nodes[loop_id].early_exit = True
         value = None
         if not self.at(";"):
             value = self.parse_expr()
@@ -439,15 +521,17 @@ class _Parser:
                     self.nest(self.advance())
                     args = []
                     if not self.at(")"):
-                        args.append(self.parse_expr())
+                        args.append(self.parse_arg())
                         while self.accept(","):
-                            args.append(self.parse_expr())
+                            args.append(self.parse_arg())
                     self.expect(")")
                     self.depth -= 1
                     return CallExpr(text, tuple(args))
                 if after == "[":
                     return self.parse_index(tok)
-                return VarExpr(text, tok.pos)
+                pos = tok.pos
+                self.accesses.append(self.access(text, REF, pos, self.is_array(text)))
+                return VarExpr(text, pos)
         elif kind == "num":
             self.i += 1
             text = tok.text
@@ -467,12 +551,22 @@ class _Parser:
                 return inner
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
+    def parse_arg(self):
+        """A call argument.  An array passed whole may be read and written
+        inside the callee, so its ref is followed by a set, with unknown
+        element indices."""
+        arg = self.parse_expr()
+        if type(arg) is VarExpr and self.is_array(arg.name):
+            self.accesses.append(self.access(arg.name, SET, arg.pos, True))
+        return arg
+
 
 def parse(text: str, path: str = "<source>") -> Program:
     """Parse source text into a Program.
 
-    Loop statements are numbered 0..n-1 in textual (pre-order) appearance.
-    Empty input yields a Program with zero functions.  Any construct outside
+    Loop statements are numbered 0..n-1 in textual (pre-order) appearance;
+    the Program also carries their LoopNodes and every VarAccess (module
+    docstring).  Empty input yields a Program with zero functions.  Any construct outside
     the subset grammar raises ParseError at the offending token.
     """
     return _Parser(text, path).parse_program()

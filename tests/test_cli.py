@@ -19,7 +19,7 @@ from acctuner.pipeline import (
 from acctuner.ga import GAConfig
 from acctuner.parser import MAX_NESTING
 
-from conftest import FIXTURES, strip_pragmas
+from conftest import FIXTURES, TUNE_FIXTURES, strip_pragmas
 
 # the error rows of the README's exit-code table
 EXIT_PARSE_ERROR, EXIT_PROFILE_ERROR, EXIT_EVALUATOR_FAILURE = 10, 11, 14
@@ -102,6 +102,28 @@ def test_emit_writes_annotated_source(workdir):
     text = out.read_text()
     assert "#pragma acc kernels" in text
     assert "#pragma acc data" in text
+
+
+@pytest.mark.parametrize("stem", TUNE_FIXTURES)
+def test_crlf_source_keeps_its_line_ends(tmp_path, stem):
+    """A CRLF copy of a fixture comes back byte for byte under the all-zero
+    genome; under its best genome (seed 1's report) only CRLF directive
+    lines are added."""
+    text = (FIXTURES / "tune" / f"{stem}.c").read_text().replace("\n", "\r\n")
+    source = tmp_path / f"{stem}.c"
+    source.write_bytes(text.encode())
+    report = json.loads((FIXTURES / "outputs" / f"tune_{stem}_seed1.report.json").read_text())
+    best = report["best"]["genome"]
+    emitted = {}
+    for genome in ("0" * len(best), best):
+        out = tmp_path / f"{genome}.c"
+        assert main(["emit", "--source", str(source), "--genome", genome,
+                     "--out", str(out)]) == EXIT_OK
+        emitted[genome] = out.read_bytes().decode()
+    assert emitted["0" * len(best)] == text
+    assert emitted[best] != text
+    assert strip_pragmas(emitted[best]) == text
+    assert "\n" not in emitted[best].replace("\r\n", "")
 
 
 def test_emit_invalid_genome_errors(workdir, capsys):

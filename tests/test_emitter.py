@@ -231,3 +231,11 @@ def test_code_before_a_loop_keeps_its_bytes():
     probe = kernels_only_annotation(program, tree, 2)
     assert probe == source.replace(
         "  m[0][0] = 2.0; for", "  m[0][0] = 2.0; \n  #pragma acc kernels\n  for")
+
+
+def test_split_line_takes_the_loops_line_end():
+    source = PLACEMENT_PROGRAMS["shared_line"].replace("\n", "\r\n")
+    program, tree, _ = analyze(source)
+    probe = kernels_only_annotation(program, tree, 2)
+    assert probe == source.replace(
+        "  m[0][0] = 2.0; for", "  m[0][0] = 2.0; \r\n  #pragma acc kernels\r\n  for")

@@ -112,6 +112,12 @@ ERROR_CORPUS = [
      "unexpected character '\u0661'", 1, 24),
     ('int main(){ int x; x = 1\u00b2; return 0; }',
      "unexpected character '\u00b2'", 1, 25),
+    # a backslash-newline is joined only in a // comment, a '#' line or a
+    # block comment's close: in a name, or between '/' and '*', it stays
+    ('int main(){ int i; fo\\\nr (i = 0; i < 4; i++) { i = i; } return 0; }',
+     "unexpected character '\\\\'", 1, 22),
+    ('int main(){ /\\\n* note */ return 0; }',
+     "unexpected character '\\\\'", 1, 14),
 ]
 
 
