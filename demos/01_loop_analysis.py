@@ -1,8 +1,9 @@
 """Walkthrough: parsing, the loop tree, and variable-access classification.
 
 Feed a small C-like program through the front end and look at what the
-analysis passes see: pre-order loop numbering, canonical-loop detection,
-and every identifier occurrence classified as define / set / ref.
+analysis passes see: pre-order loop numbering, each loop's enclosing loops,
+canonical-loop detection, and every identifier occurrence classified as
+define / set / ref, each loop's accesses one run of that list.
 """
 
 import acctuner as at
@@ -30,15 +31,16 @@ tree = at.build_loop_tree(program)
 accesses = at.extract_accesses(program)
 
 print("Loop tree (ids are assigned in textual pre-order):")
-for node in tree.nodes:
-    parent = "top level" if node.parent is None else f"inside loop {node.parent}"
+for node in tree:
+    parent = "top level" if not node.ancestors else f"inside loops {list(node.ancestors)}"
     canonical = "not canonical" if node.counter is None else "canonical"
     print(f"  loop {node.loop_id}: {node.kind} at line {node.header_pos.line}, "
           f"{parent}, {canonical}, counter={node.counter}")
 
-print("\nAccesses inside the inner loop (loop 1):")
-for access in accesses:
-    if 1 in access.loop_path and access.header_of is None:
+inner = tree[1]
+print("\nAccesses in the body of the inner loop (loop 1):")
+for access in accesses[inner.access_start:inner.access_stop]:
+    if access.header_of is None:
         print(f"  {access.var:4s} {access.kind:6s} line {access.pos.line} "
               f"loop_path={list(access.loop_path)}")
 

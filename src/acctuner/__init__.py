@@ -23,7 +23,7 @@ from .analysis import (
 from .emitter import emit_annotated
 from .evaluation import CostModel, load_cost_model, simulate_time
 from .ga import GAConfig, init_population, run_ga
-from .loops import LoopTree, build_loop_tree, extract_accesses
+from .loops import build_loop_tree, extract_accesses
 from .parser import parse
 from .pipeline import make_sim_evaluator
 from .transfer import check_genome_valid, plan_transfers

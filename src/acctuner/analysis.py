@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import EmptyGenome, ProfileError, _read_input
-from .loops import REF, SET, LoopNode, LoopTree, VarAccess
+from .loops import REF, SET, LoopNode, VarAccess
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
 
@@ -47,7 +47,7 @@ class Profile:
         return self.entries[loop_id].total_iterations
 
 
-def load_profile(path: str | Path, tree: LoopTree) -> Profile:
+def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
     """Load a loop-count profile:
     {"loops":[{"id":0,"entry_count":1,"total_iterations":10000000}, ...]}
 
@@ -77,10 +77,10 @@ def load_profile(path: str | Path, tree: LoopTree) -> Profile:
             raise ProfileError(f"profile {path}: duplicate record for loop {loop_id}")
         entries[loop_id] = ProfileEntry(entry_count, total)
 
-    missing = [n.loop_id for n in tree.nodes if n.loop_id not in entries]
+    missing = [n.loop_id for n in tree if n.loop_id not in entries]
     if missing:
         raise ProfileError(f"profile {path}: missing loop ids {missing}")
-    unknown = sorted(set(entries).difference(n.loop_id for n in tree.nodes))
+    unknown = sorted(set(entries).difference(n.loop_id for n in tree))
     if unknown:
         raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
     return Profile(entries)
@@ -94,13 +94,13 @@ class GateDecision:
     loop_id: int | None      # qualifying loop when passed, busiest loop otherwise
 
 
-def gate(tree: LoopTree, profile: Profile,
+def gate(tree: list[LoopNode], profile: Profile,
          threshold: int = DEFAULT_GATE_THRESHOLD) -> GateDecision:
     """Pass iff some loop's total iteration count reaches the threshold
     (inclusive).  Programs with no loops never pass."""
     best_id = None
     best = 0
-    for node in tree.nodes:
+    for node in tree:
         total = profile.total_iterations(node.loop_id)
         if best_id is None or total > best:
             best_id = node.loop_id
@@ -192,18 +192,13 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
     return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
 
 
-def check_all_parallelizable(tree: LoopTree,
+def check_all_parallelizable(tree: list[LoopNode],
                              accesses: list[VarAccess]) -> list[ParallelizabilityVerdict]:
-    """Eligibility of every loop by the built-in rules, ordered by loop_id."""
-    inside: list[list[VarAccess]] = [[] for _ in tree.nodes]
-    read_counts: Counter[tuple[str, str]] = Counter()
-    for a in accesses:
-        if a.kind == REF:
-            read_counts[a.function, a.var] += 1
-        for loop_id in a.loop_path:
-            inside[loop_id].append(a)
-    return [_builtin_verdict(node, inside[node.loop_id], read_counts)
-            for node in tree.nodes]
+    """Eligibility of every loop by the built-in rules, ordered by loop_id.
+    The accesses are the parse's list, which each loop's run indexes."""
+    read_counts = Counter((a.function, a.var) for a in accesses if a.kind == REF)
+    return [_builtin_verdict(node, accesses[node.access_start:node.access_stop], read_counts)
+            for node in tree]
 
 
 @dataclass(frozen=True)

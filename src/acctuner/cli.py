@@ -131,7 +131,7 @@ def _cmd_analyze(args) -> int:
                 "col": n.header_pos.col,
                 "canonical": n.counter is not None,
             }
-            for n in tree.nodes
+            for n in tree
         ],
         "accesses": [
             {

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import GenomeMap
-from .loops import LoopTree
+from .loops import LoopNode
 from .nodes import Program
 from .transfer import CLAUSE_ORDER, TransferPlan, regions
 
@@ -46,7 +46,7 @@ def _data_line(directives) -> str | None:
     return "#pragma acc data " + " ".join(clauses)
 
 
-def _render(program: Program, tree: LoopTree, selected: set[int], directives) -> str:
+def _render(program: Program, tree: list[LoopNode], selected: set[int], directives) -> str:
     by_target: dict[int, list] = {}
     for d in directives:
         by_target.setdefault(d.target_loop, []).append(d)
@@ -54,7 +54,7 @@ def _render(program: Program, tree: LoopTree, selected: set[int], directives) ->
     # 0-based line -> 0-based column of a loop keyword -> pragma lines before it
     insertions: dict[int, dict[int, list[str]]] = {}
     for loop_id in set(by_target) | selected:
-        pos = tree.node(loop_id).header_pos
+        pos = tree[loop_id].header_pos
         data = _data_line(by_target.get(loop_id, ()))
         pragmas = [data] if data is not None else []
         if loop_id in selected:
@@ -77,7 +77,7 @@ def _render(program: Program, tree: LoopTree, selected: set[int], directives) ->
     return "\n".join(lines)
 
 
-def emit_annotated(program: Program, tree: LoopTree, genome_bits: str,
+def emit_annotated(program: Program, tree: list[LoopNode], genome_bits: str,
                    genome_map: GenomeMap, plan: TransferPlan) -> AnnotatedSource:
     """Render the source for a valid genome and its transfer plan.
 
@@ -89,7 +89,7 @@ def emit_annotated(program: Program, tree: LoopTree, genome_bits: str,
     return AnnotatedSource(_render(program, tree, selected, plan.directives))
 
 
-def kernels_only_annotation(program: Program, tree: LoopTree, loop_id: int) -> str:
+def kernels_only_annotation(program: Program, tree: list[LoopNode], loop_id: int) -> str:
     """A probe source with one kernels line before the given loop (used by
     the external compile oracle)."""
     return _render(program, tree, {loop_id}, ())

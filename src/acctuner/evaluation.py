@@ -19,7 +19,7 @@ from string import Formatter
 
 from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError, _read_input, _write_output
-from .loops import LoopTree
+from .loops import LoopNode
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, regions
 
@@ -89,7 +89,7 @@ def directive_cost_us(model: CostModel, directive_vars: tuple[str, ...]) -> floa
 
 
 def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
-                  tree: LoopTree, profile: Profile,
+                  tree: list[LoopNode], profile: Profile,
                   plan: TransferPlan) -> Measurement:
     """Deterministic cost-model time for a valid genome.
 
@@ -108,7 +108,7 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     total_us = 0.0
     # region -> its subtree's work; each enters at its own loop, so keys ascend
     region_work: dict[int, float] = {}
-    for node, region in zip(tree.nodes, region_of):
+    for node, region in zip(tree, region_of):
         work = profile.total_iterations(node.loop_id) * loop_cost(node.loop_id).cpu_us_per_iter
         if region is None:
             total_us += work

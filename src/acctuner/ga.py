@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
 from .evaluation import INVALID, MEASURED, Measurement
-from .loops import LoopTree
+from .loops import LoopNode
 from .shell import DEFAULT_TIMEOUT_SECONDS
 from .transfer import check_genome_valid
 
@@ -152,7 +152,7 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
-def run_ga(config: GAConfig, genome_map: GenomeMap, tree: LoopTree,
+def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
            evaluate) -> SearchResult:
     """Run the full generation loop and return the best individual ever seen
     plus the per-generation history.

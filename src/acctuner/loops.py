@@ -1,7 +1,8 @@
 """The loop tree and the variable accesses of a program.
 
-The loop tree numbers every for/while/do-while statement in textual
-pre-order and records nesting, so genome positions stay stable across runs.
+The loop tree is a list with one LoopNode per for/while/do-while statement,
+`tree[k]` for loop k, numbered in textual pre-order so genome positions stay
+stable across runs; each node records its ancestors and its run of accesses.
 Each access classifies one identifier occurrence as define/set/ref together
 with its enclosing-loop chain; those records drive both the
 parallelizability checks and the data-transfer planner.  The parser records
@@ -30,26 +31,11 @@ class LoopNode:
     header_pos: SourcePos
     counter: str | None         # loop variable; set only for a canonical loop
     early_exit: bool = False    # its body holds a return
-
-
-@dataclass
-class LoopTree:
-    nodes: list[LoopNode] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, loop_id: int) -> LoopNode:
-        return self.nodes[loop_id]
-
-    def ancestors(self, loop_id: int) -> tuple[int, ...]:
-        """Ancestor chain of a loop, nearest first."""
-        out = []
-        parent = self.nodes[loop_id].parent
-        while parent is not None:
-            out.append(parent)
-            parent = self.nodes[parent].parent
-        return tuple(out)
+    # left out of the repr and of equality: the enclosing loops, nearest first,
+    # and the slice of the access list that holds every access inside the loop
+    ancestors: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    access_start: int = field(default=0, repr=False, compare=False)
+    access_stop: int = field(default=0, repr=False, compare=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -67,9 +53,9 @@ class VarAccess:
     indices: tuple | None = None    # per-dimension (var|None, offset), or None
 
 
-def build_loop_tree(program: Program) -> LoopTree:
-    """The program's loops as a pre-order-numbered tree, as the parse recorded them."""
-    return LoopTree(program.loop_nodes)
+def build_loop_tree(program: Program) -> list[LoopNode]:
+    """The program's loops in pre-order, as the parse recorded them."""
+    return program.loop_nodes
 
 
 def extract_accesses(program: Program) -> list[VarAccess]:

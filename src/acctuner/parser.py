@@ -27,12 +27,12 @@ Tokens, and the nodes that keep a position (see nodes.py), carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
 counts as one column.
 
-The one pass over the tokens also records, on the Program, the loop tree
-and every variable access (their types are in loops.py), so no later pass
-walks the AST again.  A loop's LoopNode is numbered when its keyword is
-read, before the loops in its body; its parent is the innermost open loop,
-and a `return` marks every open loop as left early.  Accesses follow the
-source, one per identifier occurrence and two (at one position) for a
+The one pass over the tokens also records, on the Program, the loop tree and
+every variable access (their types are in loops.py), so no later pass walks
+the AST again.  A loop's LoopNode is numbered when its keyword is read,
+before the loops in its body; its ancestors are the open loops, nearest
+first, and a `return` marks every open loop as left early.  Accesses follow
+the source, one per identifier occurrence and two (at one position) for a
 compound assignment's target, for `++`/`--` and for an array passed whole to
 a call, which gets a ref then a set.  Where a record needs what comes later,
 its list slot is reserved first: an indexed name's access goes ahead of its
@@ -40,8 +40,10 @@ subscripts' reads, and an assignment target's set, then a compound
 operator's ref, ahead of the target's subscript reads.  A declarator's
 define, as an array if `[` follows the name, goes ahead of its dims and
 initializer; a parameter's dims record nothing.  Each block, braced or a
-lone loop or if body, opens a scope, and a name's access is an array's
-when its innermost declaration is.
+lone loop or if body, opens a scope, and a name's access is an array's when
+its innermost declaration is.  No record moves out of its statement, so a
+loop's accesses are the run of the list that it adds, from its keyword to
+the end of its body or do-while condition.
 """
 
 from __future__ import annotations
@@ -438,7 +440,8 @@ class _Parser:
         loop_id = len(self.loop_nodes)
         outer = self.loop_path
         node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text,
-                        outer[-1] if outer else None, self.function, start.pos, None)
+                        outer[-1] if outer else None, self.function, start.pos, None,
+                        ancestors=outer[::-1], access_start=len(self.accesses))
         self.loop_nodes.append(node)
         self.loop_path = outer + (loop_id,)
         init = step = None
@@ -470,6 +473,7 @@ class _Parser:
             self.header_of = None
             body = self.parse_body()
         self.loop_path = outer
+        node.access_stop = len(self.accesses)
         loop = Loop(node.kind, init, cond, step, body, loop_id, start.pos)
         node.counter = _canonical_counter(loop)
         return loop

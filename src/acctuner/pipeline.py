@@ -42,7 +42,7 @@ from .evaluation import (
     trial_file,
 )
 from .ga import FITNESS_EXPONENT, GAConfig, run_ga
-from .loops import LoopTree, build_loop_tree, extract_accesses
+from .loops import LoopNode, build_loop_tree, extract_accesses
 from .parser import parse
 from .transfer import plan_transfers
 
@@ -105,7 +105,7 @@ def load_program(path: str):
     return program, build_loop_tree(program), extract_accesses(program)
 
 
-def make_sim_evaluator(model: CostModel, program, tree: LoopTree, accesses,
+def make_sim_evaluator(model: CostModel, program, tree: list[LoopNode], accesses,
                        genome_map: GenomeMap, profile: Profile):
     """Evaluator closure: plan transfers for the genome, then price it with
     the cost model."""
@@ -115,7 +115,7 @@ def make_sim_evaluator(model: CostModel, program, tree: LoopTree, accesses,
     return evaluate
 
 
-def make_cmd_evaluator(config: CommandEvaluatorConfig, program, tree: LoopTree,
+def make_cmd_evaluator(config: CommandEvaluatorConfig, program, tree: list[LoopNode],
                        accesses, genome_map: GenomeMap):
     """Evaluator closure: write the annotated source for the genome to a
     trial file, compile and run it, then remove the trial files."""
@@ -132,12 +132,12 @@ _PROBE_REASONS = {MEASURED: ELIGIBLE, INVALID: EXTERNAL_COMPILE_ERROR,
 
 
 def probe_parallelizable(config: CommandEvaluatorConfig, program,
-                         tree: LoopTree) -> list[ParallelizabilityVerdict]:
+                         tree: list[LoopNode]) -> list[ParallelizabilityVerdict]:
     """External oracle, by loop_id: one trial with no run step per loop, its
     source the input plus one kernels line before that loop.  A clean
     compile means eligible; a failed or timed-out one means not."""
     verdicts = []
-    for node in tree.nodes:
+    for node in tree:
         with trial_file(kernels_only_annotation(program, tree, node.loop_id),
                         config.workdir) as src:
             status = command_evaluate(config, src).status
@@ -146,7 +146,7 @@ def probe_parallelizable(config: CommandEvaluatorConfig, program,
     return verdicts
 
 
-def build_evaluator(spec: str, program, tree: LoopTree, accesses,
+def build_evaluator(spec: str, program, tree: list[LoopNode], accesses,
                     genome_map: GenomeMap, profile: Profile, ga: GAConfig):
     """Resolve an evaluator spec string into an evaluate(bits) callable."""
     if spec.startswith("sim:"):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import InvalidGenome
-from .loops import DEFINE, REF, SET, LoopTree, VarAccess
+from .loops import DEFINE, REF, SET, LoopNode, VarAccess
 from .nodes import Program
 
 COPY = "copy"
@@ -64,7 +64,7 @@ class TransferPlan:
     directives: tuple[DataDirective, ...]
 
 
-def regions(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> list[int | None]:
+def regions(genome_bits: str, genome_map: GenomeMap, tree: list[LoopNode]) -> list[int | None]:
     """Entry k is the selected loop that loop k lies in, itself included, or
     None.  A wrong length, a character not 0/1 or a selected loop inside
     another raises InvalidGenome."""
@@ -75,9 +75,9 @@ def regions(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> list[int
         if bit not in "01":
             raise InvalidGenome(f"genome {genome_bits!r} must be a 0/1 string")
         selected[loop_id] = bit == "1"
-    # tree.nodes is in pre-order, so each parent is mapped before its children
+    # the tree is in pre-order, so each parent is mapped before its children
     region_of: list[int | None] = []
-    for node in tree.nodes:
+    for node in tree:
         region = None if node.parent is None else region_of[node.parent]
         if selected[node.loop_id]:
             if region is not None:
@@ -88,7 +88,7 @@ def regions(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> list[int
     return region_of
 
 
-def check_genome_valid(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) -> bool:
+def check_genome_valid(genome_bits: str, genome_map: GenomeMap, tree: list[LoopNode]) -> bool:
     """Whether `regions` accepts the genome: no two selected loops nest."""
     try:
         regions(genome_bits, genome_map, tree)
@@ -97,17 +97,17 @@ def check_genome_valid(genome_bits: str, genome_map: GenomeMap, tree: LoopTree) 
     return True
 
 
-def _hoist_target(tree: LoopTree, region: int, cpu_accesses: list[VarAccess],
+def _hoist_target(region: LoopNode, cpu_accesses: list[VarAccess],
                   blockers: tuple[str, ...]) -> int:
-    target = region
-    for ancestor in tree.ancestors(region):
+    target = region.loop_id
+    for ancestor in region.ancestors:
         if any(ancestor in a.loop_path and a.kind in blockers for a in cpu_accesses):
             break
         target = ancestor
     return target
 
 
-def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
+def plan_transfers(program: Program, tree: list[LoopNode], accesses: list[VarAccess],
                    genome_bits: str, genome_map: GenomeMap) -> TransferPlan:
     """Apply the transfer rules to every selected region of a valid genome.
 
@@ -129,7 +129,7 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
     # (region, var, clause, hoist target) per transfer, regions ascending
     needs: list[tuple[int, str, str, int]] = []
     for region, inside in sorted(inside_of.items()):
-        cpu_side = cpu_by_function.get(tree.node(region).function, [])
+        cpu_side = cpu_by_function.get(tree[region].function, [])
 
         # a set in a loop header inside the region writes a counter of the
         # region's own loops, which lives entirely on the GPU
@@ -148,7 +148,7 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
                 clause, blockers = COPYIN, _COPYIN_BLOCKERS
             else:
                 continue
-            needs.append((region, var, clause, _hoist_target(tree, region, var_cpu, blockers)))
+            needs.append((region, var, clause, _hoist_target(tree[region], var_cpu, blockers)))
 
     # the lowered (loop, var) pairs; a variable never hoisted costs no walk
     above: dict[str, set[int]] = {}
@@ -156,7 +156,7 @@ def plan_transfers(program: Program, tree: LoopTree, accesses: list[VarAccess],
         if target != region:
             above.setdefault(var, set()).add(target)
     lowered = {(outer, var) for region, var, _, target in needs if var in above
-               for outer in tree.ancestors(region)
+               for outer in tree[region].ancestors
                if outer != target and outer in above[var]}
 
     # (place, var) -> (origin, clause); the first need merged is the lowest

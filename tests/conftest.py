@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import acctuner as at
+from acctuner.loops import LoopNode
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,7 +20,7 @@ class LoadedFixture:
     name: str
     source: str
     program: object
-    tree: at.LoopTree
+    tree: list[LoopNode]
     accesses: list
     profile: at.Profile
     genome_map: at.GenomeMap

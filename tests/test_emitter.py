@@ -80,7 +80,7 @@ def test_reparse_safety(stem):
     reparsed_tree = at.build_loop_tree(at.parse(annotated.text))
     def shape(tree):
         return [(n.loop_id, n.kind, n.parent, n.function, n.counter)
-                for n in tree.nodes]
+                for n in tree]
     assert shape(reparsed_tree) == shape(original_tree)
 
 
@@ -145,7 +145,7 @@ def assert_placed(source, text, plan, selected):
                         for clause in CLAUSE_ORDER if clause in clauses)
         expected = ([f"#pragma acc data {data}"] if data else []) + \
             (["#pragma acc kernels"] if loop_id in selected else [])
-        line, col = tree.node(loop_id).header_pos
+        line, col = tree[loop_id].header_pos
         assert lines[line - 1][:col - 1].strip(" \t") == "", (loop_id, lines[line - 1])
         above = lines[max(line - 1 - len(expected), 0):line - 1]
         assert [pragma.strip() for pragma in above] == expected, loop_id
@@ -220,7 +220,7 @@ def test_directives_placed_before_their_loops(name):
             plan = plan_transfers(program, tree, accesses, bits, gm)
             annotated = emit_annotated(program, tree, bits, gm, plan)
             assert_placed(source, annotated.text, plan, selected_loops(bits, gm))
-    for node in tree.nodes:
+    for node in tree:
         probe = kernels_only_annotation(program, tree, node.loop_id)
         assert_placed(source, probe, TransferPlan(()), {node.loop_id})
 

@@ -15,7 +15,7 @@ from acctuner.evaluation import (
     simulate_time,
     trial_file,
 )
-from acctuner.loops import LoopNode, LoopTree
+from acctuner.loops import LoopNode
 from acctuner.nodes import SourcePos
 from acctuner.pipeline import make_cmd_evaluator
 from acctuner.transfer import DataDirective, TransferPlan
@@ -24,7 +24,7 @@ from conftest import analyze
 
 
 def single_loop_setup():
-    tree = LoopTree([LoopNode(0, "for", None, "main", SourcePos(1, 1), "i")])
+    tree = [LoopNode(0, "for", None, "main", SourcePos(1, 1), "i")]
     profile = Profile({0: ProfileEntry(1, 1_000_000)})
     return tree, profile, GenomeMap((0,))
 
@@ -57,8 +57,8 @@ def test_simulate_speedup_one_neutrality():
 
 def test_simulate_nested_region_sums_subtree():
     outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i")
-    tree = LoopTree([outer, inner])
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    tree = [outer, inner]
     profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
     model = CostModel({0: LoopCost(2.0, 4.0, 50.0), 1: LoopCost(1.0, 4.0, 50.0)},
                       {}, 0.0, 0.0)
@@ -96,8 +96,8 @@ def test_simulate_purity():
 
 def test_unhoisted_plan_never_faster():
     outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i")
-    tree = LoopTree([outer, inner])
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    tree = [outer, inner]
     profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
     model = CostModel({0: LoopCost(0.0, 1.0, 0.0), 1: LoopCost(1.0, 2.0, 0.0)},
                       {"b": 2048.0}, 5.0, 1.0)

@@ -18,7 +18,7 @@ from acctuner.ga import (
     run_ga,
     select_next_parents,
 )
-from acctuner.loops import LoopNode, LoopTree
+from acctuner.loops import LoopNode
 from acctuner.nodes import SourcePos
 
 
@@ -41,7 +41,7 @@ class ScriptedRng:
 def sibling_tree(count):
     nodes = [LoopNode(i, "for", None, "main", SourcePos(i + 1, 1), f"i{i}")
              for i in range(count)]
-    return LoopTree(nodes)
+    return nodes
 
 
 def table_evaluator(table):
@@ -257,8 +257,8 @@ def test_run_ga_history_counters_are_cumulative():
 def test_run_ga_invalid_nested_selection_penalized_without_eval():
     # loop 1 nests inside loop 0: genome 11 is invalid
     outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i")
-    tree = LoopTree([outer, inner])
+    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    tree = [outer, inner]
     gm = GenomeMap((0, 1))
     table = {"00": 4.0, "01": 3.0, "10": 2.0}
     calls = []

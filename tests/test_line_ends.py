@@ -12,6 +12,7 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import EmptyGenome
+from acctuner.loops import LoopNode
 
 from conftest import FIXTURES, analyze, is_pragma, strip_pragmas
 
@@ -28,11 +29,11 @@ def with_crlf(text: str, rng: random.Random) -> str:
                    for line in text.split("\n")[:-1]) + text.split("\n")[-1]
 
 
-def valid(bits: str, genome_map: at.GenomeMap, tree: at.LoopTree) -> str:
+def valid(bits: str, genome_map: at.GenomeMap, tree: list[LoopNode]) -> str:
     """bits with every loop that nests under an earlier selected one cleared."""
     chosen: set[int] = set()
     for bit, loop_id in zip(bits, genome_map.loop_ids):
-        if bit == "1" and not chosen.intersection(tree.ancestors(loop_id)):
+        if bit == "1" and not chosen.intersection(tree[loop_id].ancestors):
             chosen.add(loop_id)
     return "".join("1" if loop_id in chosen else "0" for loop_id in genome_map.loop_ids)
 

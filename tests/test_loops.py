@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -16,15 +17,15 @@ def test_sibling_loops_numbered_in_order():
     _, tree, _ = analyze(
         "int main(){int i; int j;"
         " for(i=0;i<3;i++){} for(j=0;j<3;j++){} }")
-    assert [(n.loop_id, n.parent) for n in tree.nodes] == [(0, None), (1, None)]
+    assert [(n.loop_id, n.parent) for n in tree] == [(0, None), (1, None)]
 
 
 def test_nested_loops_parent_links():
     _, tree, _ = analyze(
         "int main(){int i; int j; for(i=0;i<3;i++){ for(j=0;j<3;j++){} }}")
-    assert tree.node(0).parent is None
-    assert tree.node(1).parent == 0
-    assert tree.ancestors(1) == (0,)
+    assert tree[0].parent is None
+    assert tree[1].parent == 0
+    assert tree[1].ancestors == (0,)
 
 
 def test_early_exit_marks_enclosing_loops():
@@ -33,17 +34,17 @@ def test_early_exit_marks_enclosing_loops():
         " for(i=0;i<3;i++){ for(j=0;j<3;j++){ if (j > i) { return j; } } }"
         " for(k=0;k<3;k++){ if (k > 1) { k = 0; } else { return k; } }"
         " while(k < 3){ k++; } return 0;}")
-    assert [n.early_exit for n in tree.nodes] == [True, True, True, False]
+    assert [n.early_exit for n in tree] == [True, True, True, False]
 
 
 def test_while_wrapping_for_numbering():
     _, tree, _ = analyze(
         "int main(){int c; int i; c = 1;"
         " while(c < 10){ for(i=0;i<3;i++){} c = c + 1; }}")
-    assert tree.node(0).kind == "while"
-    assert tree.node(0).counter is None
-    assert tree.node(1).kind == "for"
-    assert tree.node(1).parent == 0
+    assert tree[0].kind == "while"
+    assert tree[0].counter is None
+    assert tree[1].kind == "for"
+    assert tree[1].parent == 0
 
 
 def test_preorder_matches_textual_order():
@@ -57,9 +58,9 @@ def test_preorder_matches_textual_order():
 }
 """
     _, tree, _ = analyze(text)
-    positions = [(n.header_pos.line, n.header_pos.col) for n in tree.nodes]
+    positions = [(n.header_pos.line, n.header_pos.col) for n in tree]
     assert positions == sorted(positions)
-    assert [n.loop_id for n in tree.nodes] == [0, 1, 2, 3]
+    assert [n.loop_id for n in tree] == [0, 1, 2, 3]
 
 
 def test_canonical_flags():
@@ -73,7 +74,7 @@ def test_canonical_flags():
 }
 """
     _, tree, _ = analyze(text)
-    assert [n.counter for n in tree.nodes] == ["i", "j", None, None, None]
+    assert [n.counter for n in tree] == ["i", "j", None, None, None]
 
 
 def test_array_assignment_classification():
@@ -131,7 +132,7 @@ def test_loop_path_matches_ancestor_chain():
         if not access.loop_path:
             continue
         innermost = access.loop_path[-1]
-        chain = tuple(reversed(tree.ancestors(innermost))) + (innermost,)
+        chain = tuple(reversed(tree[innermost].ancestors)) + (innermost,)
         assert access.loop_path == chain
 
 
@@ -241,8 +242,45 @@ def test_positions_point_at_their_tokens(name):
 
     _, tree, accesses = analyze(text)
     keyword = {"for": "for", "while": "while", "dowhile": "do"}
-    for node in tree.nodes:
+    for node in tree:
         assert at(node.header_pos, keyword[node.kind]), (node.loop_id, node.header_pos)
     for access in accesses:
         assert at(access.pos, access.var), (access.var, access.pos)
     assert accesses
+
+
+BENCH = FIXTURES.parents[1] / "bench"
+# every .c under tests/fixtures/ and bench/inputs/, gen_large seeds 1-3 and
+# the edge program that hits each access-order rule
+RUN_SOURCES = [*(path.relative_to(BENCH.parent).as_posix()
+                 for path in [*sorted(FIXTURES.rglob("*.c")), *sorted((BENCH / "inputs").glob("*.c"))]),
+               *(f"gen_large:{seed}" for seed in (1, 2, 3)), "edge:access_order"]
+
+
+def run_source(name: str) -> str:
+    kind, _, rest = name.partition(":")
+    if kind == "edge":
+        return EDGE_SOURCES[rest]
+    if kind == "gen_large":
+        sys.path.insert(0, str(BENCH))
+        try:
+            import gen_large
+        finally:
+            sys.path.pop(0)
+        return gen_large.generate(int(rest))["source"]
+    return (BENCH.parent / name).read_text()
+
+
+@pytest.mark.parametrize("name", RUN_SOURCES)
+def test_each_loop_records_its_ancestors_and_its_run_of_accesses(name):
+    _, tree, accesses = analyze(run_source(name))
+    assert tree
+    for node in tree:
+        chain, parent = [], node.parent
+        while parent is not None:
+            chain.append(parent)
+            parent = tree[parent].parent
+        assert node.ancestors == tuple(chain), node.loop_id
+        run = accesses[node.access_start:node.access_stop]
+        inside = [a for a in accesses if node.loop_id in a.loop_path]
+        assert len(run) == len(inside) and all(a is b for a, b in zip(run, inside)), node.loop_id

@@ -10,15 +10,15 @@ def test_minimal_program():
     program = parse("int main(){int i; for(i=0;i<10;i++){}}")
     assert len(program.functions) == 1
     tree = at.build_loop_tree(program)
-    assert len(tree.nodes) == 1
-    node = tree.node(0)
+    assert len(tree) == 1
+    node = tree[0]
     assert node.kind == "for" and node.counter == "i" and node.loop_id == 0
 
 
 def test_empty_input():
     program = parse("")
     assert program.functions == []
-    assert at.build_loop_tree(program).nodes == []
+    assert at.build_loop_tree(program) == []
 
 
 def test_goto_rejected():
@@ -148,7 +148,7 @@ int main() { /* block
 """
     program = parse(text)
     tree = at.build_loop_tree(program)
-    assert len(tree.nodes) == 1
+    assert len(tree) == 1
 
 
 # a '*' then backslash-newlines, each after optional blanks or '\r', then

@@ -94,7 +94,7 @@ def test_regions_contract(tune_fixtures, stress_fixture):
         gm, tree = fixture.genome_map, fixture.tree
         for bits in _genomes(fixture, rng):
             chosen = {loop for loop, bit in zip(gm.loop_ids, bits) if bit == "1"}
-            if any(chosen.intersection(tree.ancestors(loop)) for loop in chosen):
+            if any(chosen.intersection(tree[loop].ancestors) for loop in chosen):
                 nested_seen += 1
                 with pytest.raises(InvalidGenome):
                     regions(bits, gm, tree)
@@ -102,8 +102,8 @@ def test_regions_contract(tune_fixtures, stress_fixture):
                 continue
             region_of = regions(bits, gm, tree)
             assert len(region_of) == len(tree)
-            for node in tree.nodes:
-                inside = chosen.intersection((node.loop_id, *tree.ancestors(node.loop_id)))
+            for node in tree:
+                inside = chosen.intersection((node.loop_id, *node.ancestors))
                 assert len(inside) <= 1
                 assert region_of[node.loop_id] == (inside.pop() if inside else None)
             assert check_genome_valid(bits, gm, tree)
@@ -177,7 +177,7 @@ def _blockers_between(tree, accesses, directive, selected, kinds):
     """CPU-side accesses of the directive's vars in loops strictly between
     target and region, plus the target loop itself."""
     region = directive.origin_region
-    chain = [region, *tree.ancestors(region)]
+    chain = [region, *tree[region].ancestors]
     between = chain[1:chain.index(directive.target_loop) + 1]
     hits = []
     for access in accesses:
@@ -213,7 +213,7 @@ def test_hoisting_is_maximal():
     selected = {1}
     for directive in plan.directives:
         target = directive.target_loop
-        parent = tree.node(target).parent
+        parent = tree[target].parent
         if parent is None:
             continue
         kinds = ("set", "define") if directive.clause == "copyin" \
@@ -341,7 +341,7 @@ def nested_names(tree, directives):
         for var in vars_:
             targets.setdefault(var, []).append(target)
     return [(var, outer, inner) for var, loops in targets.items()
-            for inner in loops for outer in loops if outer in tree.ancestors(inner)]
+            for inner in loops for outer in loops if outer in tree[inner].ancestors]
 
 
 NESTED_CLAUSE = """int main() {
