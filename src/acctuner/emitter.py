@@ -5,12 +5,13 @@ indentation; lines end only at '\\n', as the tokenizer counts them.  A loop
 that shares its line with earlier code first gets a line of its own: that
 code keeps its bytes and ends the line, then come the directive lines, then
 the indentation and the loop with the rest of the line.  Each line break
-added takes the line end of the loop's line, '\\r\\n' or '\\n', so a CRLF
-source stays CRLF.  No other byte changes, so deleting the directive lines
-recovers the input whenever every annotated loop starts its line.  At one
-loop: the data directive (clauses in copy, copyin, copyout order, variables
-sorted, no internal spaces), then `#pragma acc kernels` when the loop itself
-is selected.
+added takes the line end of the loop's line, '\\r\\n' or '\\n', or of the
+line before when the loop's line is the last and has none ('\\n' for a
+one-line source), so a CRLF source stays CRLF.  No other byte changes, so
+deleting the directive lines recovers the input whenever every annotated
+loop starts its line.  At one loop: the data directive (clauses in copy,
+copyin, copyout order, variables sorted, no internal spaces), then
+`#pragma acc kernels` when the loop itself is selected.
 """
 
 from __future__ import annotations
@@ -62,8 +63,11 @@ def _render(program: Program, tree: list[LoopNode], selected: set[int], directiv
         insertions.setdefault(pos.line - 1, {})[pos.col - 1] = pragmas
 
     lines = program.source_text.split("\n")
+    last = len(lines) - 1
     for index, at_col in insertions.items():
         line = lines[index]
+        # the line's own end; the last line has none and takes the one before
+        ending = line if index < last else lines[index - 1] if index else ""
         indent = _indent_of(line)
         out: list[str] = []
         start, lead = 0, ""
@@ -73,7 +77,7 @@ def _render(program: Program, tree: list[LoopNode], selected: set[int], directiv
                 start, lead = col, indent
             out.extend(indent + pragma for pragma in at_col[col])
         out.append(lead + line[start:])
-        lines[index] = ("\r\n" if line.endswith("\r") else "\n").join(out)
+        lines[index] = ("\r\n" if ending.endswith("\r") else "\n").join(out)
     return "\n".join(lines)
 
 

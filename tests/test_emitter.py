@@ -239,3 +239,19 @@ def test_split_line_takes_the_loops_line_end():
     probe = kernels_only_annotation(program, tree, 2)
     assert probe == source.replace(
         "  m[0][0] = 2.0; for", "  m[0][0] = 2.0; \r\n  #pragma acc kernels\r\n  for")
+
+
+@pytest.mark.parametrize("before", ["\r\n", "\n", ""], ids=["crlf", "lf", "one_line"])
+def test_loop_on_an_unterminated_last_line_takes_the_line_end_before_it(before):
+    source = ("int main(){int i; float a[4];" + before
+              + "for(i=0;i<4;i++){ a[i] = 1.0; } return 0;}")
+    program, tree, accesses = analyze(source)
+    genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
+    plan = at.plan_transfers(program, tree, accesses, "1", genome_map)
+    text = at.emit_annotated(program, tree, "1", genome_map, plan).text
+    end = before or "\n"
+    head, loop = source.split("for(", 1)
+    if not before:      # the code before the loop gets a line of its own
+        head += end
+    assert text == (head + "#pragma acc data copyout(a)" + end
+                    + "#pragma acc kernels" + end + "for(" + loop)

@@ -1,7 +1,9 @@
 """Line ends survive emission: a source with CRLF on any subset of its
-lines comes back byte for byte under the all-zero genome, and under any
-valid genome the output minus its `#pragma acc` lines is the input, and
-each directive line it adds ends as the line after it."""
+lines, with or without its final line end, comes back byte for byte under
+the all-zero genome, and under any valid genome the output minus its
+`#pragma acc` lines is the input, and each directive line it adds ends as
+the line after it, or, before the last line when that has no line end, as
+the nearest line above that is not a directive."""
 
 from __future__ import annotations
 
@@ -44,6 +46,8 @@ def valid(bits: str, genome_map: at.GenomeMap, tree: list[LoopNode]) -> str:
 def test_emit_keeps_every_line_end(path: Path, data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
     text = with_crlf(path.read_text(encoding="utf-8"), rng)
+    if data.draw(st.booleans()):    # drop the final line end
+        text = text.removesuffix("\n").removesuffix("\r")
     program, tree, accesses = analyze(text)
     try:
         genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
@@ -62,6 +66,9 @@ def test_emit_keeps_every_line_end(path: Path, data):
     assert strip_pragmas(chosen) == strip_pragmas(text)
     if strip_pragmas(text) == text:     # every directive line is an added one
         lines = chosen.split("\n")
-        for line, after in zip(lines, lines[1:]):
+        last = len(lines) - 1
+        for k, line in enumerate(lines[:last]):
             if is_pragma(line):
-                assert line.endswith("\r") == after.endswith("\r")
+                ending = lines[k + 1] if k + 1 < last else next(
+                    (above for above in reversed(lines[:k]) if not is_pragma(above)), "")
+                assert line.endswith("\r") == ending.endswith("\r")
