@@ -70,10 +70,6 @@ class Decl:
     init: object | None
     pos: SourcePos
 
-    @property
-    def is_array(self) -> bool:
-        return bool(self.dims)
-
 
 @dataclass
 class Assign:

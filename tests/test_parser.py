@@ -203,7 +203,7 @@ def test_statement_variety_roundtrip():
     fn = program.functions[0]
     assert fn.name == "compute"
     assert [p.name for p in fn.params] == ["n", "data"]
-    assert fn.params[1].is_array
+    assert [len(p.dims) for p in fn.params] == [0, 1]
     kinds = [type(s).__name__ for s in fn.body.statements]
     assert "If" in kinds and "CallStmt" in kinds and "Return" in kinds
     loops = [s.kind for s in fn.body.statements if isinstance(s, Loop)]
