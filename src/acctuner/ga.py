@@ -22,14 +22,14 @@ import bisect
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
 from .evaluation import INVALID, MEASURED, Measurement
 from .loops import LoopNode
-from .shell import DEFAULT_TIMEOUT_SECONDS
+from .shell import DEFAULT_TIMEOUT_SECONDS, kill_running
 from .transfer import check_genome_valid
 
 CACHE_HIT = "cachehit"
@@ -152,6 +152,25 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
+def _evaluate_in_parallel(evaluate, genomes: list[str], workers: int) -> dict[str, Measurement]:
+    """Each genome's measurement, from a pool of worker threads.  When the
+    wait raises (an interrupt reaches only this thread), the trials not yet
+    started are dropped and the commands of those running are killed until
+    each trial has ended: the pool's exit waits for them, and a command may
+    run for its whole timeout."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(evaluate, bits) for bits in genomes]
+        try:
+            return {bits: future.result() for bits, future in zip(genomes, futures)}
+        except BaseException:
+            pool.shutdown(wait=False, cancel_futures=True)
+            # a trial between its compile and its run starts a command late
+            while not all(future.done() for future in futures):
+                kill_running()
+                wait(futures, timeout=0.05)
+            raise
+
+
 def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
            evaluate) -> SearchResult:
     """Run the full generation loop and return the best individual ever seen
@@ -189,8 +208,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
                 outcomes[bits] = nested
         fresh = [bits for bits in dict.fromkeys(population) if bits not in outcomes]
         if config.workers > 1 and len(fresh) > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                new = dict(zip(fresh, pool.map(evaluate, fresh)))
+            new = _evaluate_in_parallel(evaluate, fresh, config.workers)
         else:
             new = {bits: evaluate(bits) for bits in fresh}
         for bits, measurement in new.items():

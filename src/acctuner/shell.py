@@ -2,7 +2,8 @@
 
 Each command runs in its own session under a time limit, and when it ends,
 however it ends, its whole process group is killed, so nothing it started
-outlives it.
+outlives it.  An interrupt reaches only the main thread, so `kill_running`
+lets it kill the groups that other threads are waiting on.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ from pathlib import Path
 
 DEFAULT_TIMEOUT_SECONDS = 180.0
 
+_running: set[int] = set()      # process groups started and not yet killed
+_running_lock = threading.Lock()
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass    # every process of the group has already exited
+
+
+def kill_running() -> None:
+    """Kill the process group of every command that run_shell is running in
+    this process."""
+    with _running_lock:
+        for pgid in _running:
+            _kill_group(pgid)
+
 
 def run_shell(cmd: str, timeout_seconds: float,
               cwd: str | Path | None = None) -> tuple[int | None, float]:
@@ -28,6 +47,8 @@ def run_shell(cmd: str, timeout_seconds: float,
     start = time.perf_counter()
     proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL, cwd=cwd, start_new_session=True)
+    with _running_lock:
+        _running.add(proc.pid)
     exited = []
 
     def reap():
@@ -44,9 +65,8 @@ def run_shell(cmd: str, timeout_seconds: float,
     finally:
         # the shell leads its own process group; this also kills what it
         # left in the background, or everything on a timeout or interrupt
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass    # every process of the group has already exited
+        with _running_lock:
+            _kill_group(proc.pid)
+            _running.discard(proc.pid)
         reaper.join()
     return (None if timed_out else proc.returncode), exited[0] - start

@@ -1,8 +1,10 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -361,6 +363,34 @@ def test_tune_with_command_evaluator(workdir):
     report = json.loads((workdir / "report.json").read_text())
     assert report["best"]["status"] in ("measured", "cachehit")
     assert not list(workdir.glob("trial_*"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_stops_the_running_trials(tmp_path, workers):
+    # each run step marks its start, then would mark a late finish
+    config = tmp_path / "cmd.json"
+    config.write_text(json.dumps({
+        "compile_cmd": "true", "workdir": str(tmp_path),
+        "run_cmd": "touch '{bin}.started'; sleep 3; touch '{bin}.late'"}))
+    tune = FIXTURES / "tune"
+    args = ["tune", "--source", str(tune / "mix10.c"), "--profile", str(tune / "mix10_profile.json"),
+            "--evaluator", f"cmd:{config}", "--gens", "2", "--workers", str(workers),
+            "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    with subprocess.Popen([sys.executable, "-m", "acctuner", *args], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob("*.started")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert list(tmp_path.glob("*.started")), "no trial started"
+            proc.send_signal(signal.SIGINT)
+            proc.wait(timeout=2)
+        finally:
+            proc.kill()
+            proc.wait()
+    time.sleep(4)
+    assert not list(tmp_path.glob("*.late"))
 
 
 def test_run_pipeline_api_matches_cli(workdir):
