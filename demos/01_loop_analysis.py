@@ -3,7 +3,7 @@
 Feed a small C-like program through the front end and look at what the
 analysis passes see: pre-order loop numbering, each loop's enclosing loops,
 canonical-loop detection, and every identifier occurrence classified as
-define / set / ref, each loop's accesses one run of that list.
+define / set / ref, where a loop's accesses are one run of that list.
 """
 
 import acctuner as at
