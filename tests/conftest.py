@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,16 @@ def stress_fixture() -> LoadedFixture:
 def analyze(source: str):
     program = at.parse(source)
     return program, at.build_loop_tree(program), at.extract_accesses(program)
+
+
+def gen_large_source(seed: int) -> str:
+    """The benchmark's sim-large program for a seed (bench/gen_large.py)."""
+    sys.path.insert(0, str(FIXTURES.parent.parent / "bench"))
+    try:
+        import gen_large
+    finally:
+        sys.path.pop(0)
+    return gen_large.generate(seed)["source"]
 
 
 def is_pragma(line: str) -> bool:

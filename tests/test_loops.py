@@ -1,11 +1,10 @@
 import re
-import sys
 
 import pytest
 
 from acctuner.loops import DEFINE, REF, SET
 
-from conftest import FIXTURES, analyze
+from conftest import FIXTURES, analyze, gen_large_source
 from test_golden import EDGE_SOURCES
 
 
@@ -262,12 +261,7 @@ def run_source(name: str) -> str:
     if kind == "edge":
         return EDGE_SOURCES[rest]
     if kind == "gen_large":
-        sys.path.insert(0, str(BENCH))
-        try:
-            import gen_large
-        finally:
-            sys.path.pop(0)
-        return gen_large.generate(int(rest))["source"]
+        return gen_large_source(int(rest))
     return (BENCH.parent / name).read_text()
 
 

@@ -1,7 +1,6 @@
 import itertools
 import json
 import random
-import sys
 
 import pytest
 
@@ -11,7 +10,7 @@ from acctuner.errors import InvalidGenome
 from acctuner.transfer import check_genome_valid, plan_transfers, regions
 
 import lowering_family
-from conftest import FIXTURES, analyze
+from conftest import FIXTURES, analyze, gen_large_source
 
 
 def plan_for(text, bits):
@@ -415,12 +414,7 @@ def test_lowering_family_plans_name_no_variable_in_nested_constructs():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gen_large_plans_name_no_variable_in_nested_constructs(seed):
-    sys.path.insert(0, str(FIXTURES.parents[1] / "bench"))
-    try:
-        import gen_large
-    finally:
-        sys.path.pop(0)
-    program, tree, accesses = analyze(gen_large.generate(seed)["source"])
+    program, tree, accesses = analyze(gen_large_source(seed))
     gm = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
     rng = random.Random(seed)
     planned = 0
