@@ -25,6 +25,9 @@ are the same on every machine.  After an intended output change, rewrite
 the goldens from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each golden file, whether its bytes changed, and for
+`frontend.json` how many sources had each kind of digest change.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import io
 import json
 import os
 import random
-import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -283,17 +285,46 @@ def test_frontend_matches_golden():
         assert actual[name] == expected[name], f"{name}: tokens, AST, tree or accesses differ"
 
 
+def test_frontend_changes_counts_each_digest_kind():
+    old = {"a": {"tokens": "1", "ast": "2", "tree": "3", "accesses": "4"},
+           "b": {"tokens": "5", "ast": "6", "tree": "7", "accesses": "8"}}
+    new = {"a": {"tokens": "1", "ast": "x", "tree": "x", "accesses": "4"},
+           "b": {"tokens": "5", "ast": "x", "tree": "7", "accesses": "8"},
+           "c": {"tokens": "9", "ast": "9", "tree": "9", "accesses": "9"}}
+    assert frontend_changes(json.dumps(old).encode(), json.dumps(new).encode()) == {
+        "tokens": 1, "ast": 3, "tree": 2, "accesses": 1}
+
+
+def frontend_changes(old: bytes, new: bytes) -> dict[str, int]:
+    """Per digest kind, how many sources of `new` differ from `old` (a source
+    that `old` lacks counts as changed in every kind)."""
+    before, after = json.loads(old), json.loads(new)
+    return {kind: sum(before.get(name, {}).get(kind) != digests[kind]
+                      for name, digests in after.items())
+            for kind in ("tokens", "ast", "tree", "accesses")}
+
+
+def _rewrite(file: str, data: bytes) -> bytes | None:
+    """Write a golden and print whether its bytes changed; returns the old bytes."""
+    path = GOLDEN / file
+    old = path.read_bytes() if path.exists() else None
+    path.write_bytes(data)
+    print(f"{'same   ' if old == data else 'changed'} {file}")
+    return old
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as scratch:
             for file, data in run_case(case, Path(scratch)).items():
-                (GOLDEN / file).write_bytes(data)
-                print(f"wrote {GOLDEN / file}", file=sys.stderr)
+                _rewrite(file, data)
     for stem in sorted(PLAN_SAMPLES):
-        (GOLDEN / f"plans_{stem}.jsonl").write_bytes(plan_lines(stem))
-        print(f"wrote {GOLDEN / f'plans_{stem}.jsonl'}", file=sys.stderr)
-    (GOLDEN / "lowering_family_plans.jsonl").write_bytes(lowering_family.plan_lines())
-    print(f"wrote {GOLDEN / 'lowering_family_plans.jsonl'}", file=sys.stderr)
-    (GOLDEN / "frontend.json").write_bytes(frontend_digests())
-    print(f"wrote {GOLDEN / 'frontend.json'}", file=sys.stderr)
+        _rewrite(f"plans_{stem}.jsonl", plan_lines(stem))
+    _rewrite("lowering_family_plans.jsonl", lowering_family.plan_lines())
+    digests = frontend_digests()
+    old = _rewrite("frontend.json", digests)
+    if old is not None:
+        sources = len(json.loads(digests))
+        for kind, count in frontend_changes(old, digests).items():
+            print(f"frontend.json: {kind} digest changed for {count} of {sources} sources")
