@@ -9,7 +9,7 @@ make the payoff visible.
 """
 
 import acctuner as at
-from acctuner.analysis import Profile, ProfileEntry
+from acctuner.analysis import ProfileEntry
 
 SOURCE = """int main() {
     int t;
@@ -45,12 +45,12 @@ for directive in plan.directives:
           f"before loop {directive.target_loop} "
           f"(needed by region {directive.origin_region})")
 
-profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 64_000)})
+profile = {0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 64_000)}
 print("\nTransfer executions per program run:")
 for directive in plan.directives:
     print(f"  {directive.clause}({','.join(directive.vars)}): "
-          f"{profile.entry_count(directive.target_loop)} at loop {directive.target_loop}, "
-          f"{profile.entry_count(directive.origin_region)} "
+          f"{profile[directive.target_loop].entry_count} at loop {directive.target_loop}, "
+          f"{profile[directive.origin_region].entry_count} "
           f"at its region loop {directive.origin_region}")
 
 annotated = at.emit_annotated(program, tree, "1", genome_map, plan)

@@ -36,15 +36,7 @@ class ProfileEntry:
     total_iterations: int
 
 
-@dataclass
-class Profile:
-    entries: dict[int, ProfileEntry]
-
-    def entry_count(self, loop_id: int) -> int:
-        return self.entries[loop_id].entry_count
-
-    def total_iterations(self, loop_id: int) -> int:
-        return self.entries[loop_id].total_iterations
+Profile = dict[int, ProfileEntry]    # by loop id
 
 
 def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
@@ -58,7 +50,7 @@ def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
     if not isinstance(data, dict) or not isinstance(data.get("loops"), list):
         raise ProfileError(f"profile {path}: expected a top-level 'loops' list")
 
-    entries: dict[int, ProfileEntry] = {}
+    entries: Profile = {}
     for rec in data["loops"]:
         if not isinstance(rec, dict):
             raise ProfileError(f"profile {path}: malformed record {rec!r}")
@@ -83,7 +75,7 @@ def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
     unknown = sorted(set(entries).difference(n.loop_id for n in tree))
     if unknown:
         raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
-    return Profile(entries)
+    return entries
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def gate(tree: list[LoopNode], profile: Profile,
     best_id = None
     best = 0
     for node in tree:
-        total = profile.total_iterations(node.loop_id)
+        total = profile[node.loop_id].total_iterations
         if best_id is None or total > best:
             best_id = node.loop_id
             best = total

@@ -28,7 +28,7 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated
-from .errors import AutotunerError, SpawnError, UsageError
+from .errors import AutotunerError, Interrupted, SpawnError, UsageError
 from .evaluation import load_command_config
 from .ga import GAConfig
 from .pipeline import (
@@ -125,7 +125,7 @@ def _cmd_analyze(args) -> int:
             {
                 "loop_id": n.loop_id,
                 "kind": n.kind,
-                "parent": n.parent,
+                "parent": n.ancestors[0] if n.ancestors else None,
                 "function": n.function,
                 "line": n.header_pos.line,
                 "col": n.header_pos.col,
@@ -229,14 +229,21 @@ _COMMANDS = {
 }
 
 
+def _fail(exc: AutotunerError) -> int:
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
+    sys.stderr.write(json.dumps({"error": error}) + "\n")
+    return exc.exit_code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except KeyboardInterrupt:
+        # the pipeline writes its files after the search, so an interrupt in it leaves none
+        return _fail(Interrupted("interrupted"))
     except AutotunerError as exc:
-        error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
-        sys.stderr.write(json.dumps({"error": error}) + "\n")
-        return exc.exit_code
+        return _fail(exc)
 
 
 if __name__ == "__main__":

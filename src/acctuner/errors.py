@@ -67,6 +67,11 @@ class UsageError(AutotunerError):
     exit_code = 2   # argparse's own exit code for a bad command line
 
 
+class Interrupted(AutotunerError):
+    """The run was interrupted (SIGINT, as from Ctrl-C) before it ended."""
+    exit_code = 130     # 128 + SIGINT, as a shell reports a command it stopped
+
+
 def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json: bool = True):
     """The text of an input file read as UTF-8, parsed as JSON when `as_json`;
     otherwise its line ends are kept as they are.  A file that cannot be

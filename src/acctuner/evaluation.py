@@ -109,7 +109,7 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     # region -> its subtree's work; each enters at its own loop, so keys ascend
     region_work: dict[int, float] = {}
     for node, region in zip(tree, region_of):
-        work = profile.total_iterations(node.loop_id) * loop_cost(node.loop_id).cpu_us_per_iter
+        work = profile[node.loop_id].total_iterations * loop_cost(node.loop_id).cpu_us_per_iter
         if region is None:
             total_us += work
         else:
@@ -118,11 +118,11 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     for region, work in region_work.items():
         cost = loop_cost(region)
         total_us += work / cost.gpu_speedup
-        total_us += profile.entry_count(region) * cost.kernel_launch_us
+        total_us += profile[region].entry_count * cost.kernel_launch_us
 
     # a directive's transfer runs once per arrival at its target loop's header
     for directive in plan.directives:
-        total_us += (profile.entry_count(directive.target_loop)
+        total_us += (profile[directive.target_loop].entry_count
                      * directive_cost_us(model, directive.vars))
 
     return Measurement(total_us / 1e6, MEASURED)

@@ -152,12 +152,12 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
-def _evaluate_in_parallel(evaluate, genomes: list[str], workers: int) -> dict[str, Measurement]:
+def _evaluate_all(evaluate, genomes: list[str], workers: int) -> dict[str, Measurement]:
     """Each genome's measurement, from a pool of worker threads.  When the
     wait raises (an interrupt reaches only this thread), the trials not yet
     started are dropped and the commands of those running are killed until
     each trial has ended: the pool's exit waits for them, and a command may
-    run for its whole timeout."""
+    run for its whole timeout.  Every trial runs here, one worker or many."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(evaluate, bits) for bits in genomes]
         try:
@@ -203,14 +203,14 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
     for generation in range(1, config.generations + 1):
         # evaluate the distinct valid genomes this generation adds, then
         # score every individual from its genome's outcome
+        fresh = []
         for bits in dict.fromkeys(population):
-            if bits not in outcomes and not check_genome_valid(bits, genome_map, tree):
-                outcomes[bits] = nested
-        fresh = [bits for bits in dict.fromkeys(population) if bits not in outcomes]
-        if config.workers > 1 and len(fresh) > 1:
-            new = _evaluate_in_parallel(evaluate, fresh, config.workers)
-        else:
-            new = {bits: evaluate(bits) for bits in fresh}
+            if bits not in outcomes:
+                if check_genome_valid(bits, genome_map, tree):
+                    fresh.append(bits)
+                else:
+                    outcomes[bits] = nested
+        new = _evaluate_all(evaluate, fresh, config.workers)
         for bits, measurement in new.items():
             outcomes[bits] = (measurement if measurement.status == MEASURED
                               else Measurement(config.penalty_seconds, measurement.status))
@@ -246,17 +246,12 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
 
         parents = select_next_parents(evaluated, rng)
         offspring = [parents[0]]  # the elite skips crossover and mutation
-        index = 1
-        while index < size:
-            if index + 1 < size:
-                child1, child2 = one_point_crossover(
-                    parents[index], parents[index + 1], config.crossover_rate, rng)
-                offspring.append(mutate(child1, config.mutation_rate, rng))
-                offspring.append(mutate(child2, config.mutation_rate, rng))
-                index += 2
-            else:
-                offspring.append(mutate(parents[index], config.mutation_rate, rng))
-                index += 1
+        for index in range(1, size, 2):
+            # an odd one out at the end is only mutated
+            pair = (one_point_crossover(parents[index], parents[index + 1],
+                                        config.crossover_rate, rng)
+                    if index + 1 < size else (parents[index],))
+            offspring.extend(mutate(child, config.mutation_rate, rng) for child in pair)
         population = offspring
 
     return SearchResult(

@@ -2,7 +2,9 @@
 
 The loop tree is a list with one LoopNode per for/while/do-while statement,
 `tree[k]` for loop k, numbered in textual pre-order so genome positions stay
-stable across runs; each node records its ancestors and its run of accesses.
+stable across runs; each node records its ancestors, nearest first (so its
+parent is `ancestors[0]`, and a top-level loop has none), and its run of
+accesses.
 Each access classifies one identifier occurrence as define/set/ref together
 with its enclosing-loop chain; those records drive both the
 parallelizability checks and the data-transfer planner.  The parser records
@@ -26,14 +28,13 @@ REF = "ref"
 class LoopNode:
     loop_id: int
     kind: str                   # 'for' | 'while' | 'dowhile'
-    parent: int | None
+    ancestors: tuple[int, ...]  # the enclosing loops, nearest first: [0] is the parent
     function: str
     header_pos: SourcePos
     counter: str | None         # loop variable; set only for a canonical loop
     early_exit: bool = False    # its body holds a return
-    # left out of the repr and of equality: the enclosing loops, nearest first,
-    # and the slice of the access list that holds every access inside the loop
-    ancestors: tuple[int, ...] = field(default=(), repr=False, compare=False)
+    # left out of the repr and of equality: the slice of the access list that
+    # holds every access inside the loop
     access_start: int = field(default=0, repr=False, compare=False)
     access_stop: int = field(default=0, repr=False, compare=False)
 

@@ -1,10 +1,9 @@
 """AST node types for the C-like subset language.
 
-A node holds what a later pass reads.  Four kinds carry a position, a
-(line, col) pair: `VarExpr` and `IndexExpr` at their name and `Decl` at its
-declared name, which every access records, and `Loop` at its keyword, where
-the emitter inserts whole lines before the loop's header line.  No other
-node has one.  All three loop kinds are one `Loop`.
+A node holds what a later pass reads.  No node carries a position: the
+parser gives each access and each loop's LoopNode the (line, col) of its
+token (loops.py), and no pass reads one off the AST.  All three loop kinds
+are one `Loop`.
 """
 
 from __future__ import annotations
@@ -32,14 +31,12 @@ class NumLit:
 @dataclass(slots=True, unsafe_hash=True)
 class VarExpr:
     name: str
-    pos: SourcePos
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class IndexExpr:
     name: str
     indices: tuple          # 1 or 2 index expressions
-    pos: SourcePos
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -68,7 +65,6 @@ class Decl:
     name: str
     dims: tuple             # () scalar, 1 or 2 element-count expressions
     init: object | None
-    pos: SourcePos
 
 
 @dataclass
@@ -99,7 +95,6 @@ class Loop:
     step: Assign | IncDec | None    # None unless a for loop has one
     body: "Block"
     loop_id: int
-    pos: SourcePos
 
 
 @dataclass

@@ -23,9 +23,9 @@ switch/break/continue and the preprocessor are outside the subset and are
 rejected with a ParseError, as is nesting deeper than MAX_NESTING levels: the
 cap keeps every recursive pass over the tree far from Python's stack limit.
 
-Tokens, and the nodes that keep a position (see nodes.py), carry only the
+Tokens, and the loops and accesses recorded from them, carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
-counts as one column.
+counts as one column.  No AST node carries one (nodes.py).
 
 The one pass over the tokens also records, on the Program, the loop tree and
 every variable access (their types are in loops.py), so no later pass walks
@@ -287,7 +287,7 @@ class _Parser:
         recorded = len(self.accesses)
         dims = self.parse_dims(allow_empty=True)
         del self.accesses[recorded:]    # a parameter's dims record nothing
-        return Decl(name.text, dims, None, name.pos)
+        return Decl(name.text, dims, None)
 
     def parse_dims(self, allow_empty: bool) -> tuple:
         dims = []
@@ -357,7 +357,7 @@ class _Parser:
             if dims:
                 self.error("array initializers are not supported", name)
             init = self.parse_expr()
-        return Decl(name.text, dims, init, name.pos)
+        return Decl(name.text, dims, init)
 
     def parse_simple_stmt(self):
         start = self.peek()
@@ -381,8 +381,8 @@ class _Parser:
         if self.at("["):
             target = self.parse_index(name)     # records its ref in the slot
         else:
-            target = VarExpr(name.text, name.pos)
-            accesses.append(self.access(name.text, REF, target.pos, self.is_array(name.text)))
+            target = VarExpr(name.text)
+            accesses.append(self.access(name.text, REF, name.pos, self.is_array(name.text)))
         ref = accesses[slot]
         op_tok = self.advance()
         incdec = op_tok.text in ("++", "--") and type(target) is VarExpr
@@ -407,10 +407,9 @@ class _Parser:
             self.depth -= 1
         if len(indices) > 2:
             self.error("arrays of more than two dimensions are not supported", name)
-        pos = name.pos
-        accesses[slot] = self.access(name.text, REF, pos, True,
+        accesses[slot] = self.access(name.text, REF, name.pos, True,
                                      tuple(_normalize_index(ix) for ix in indices))
-        return IndexExpr(name.text, tuple(indices), pos)
+        return IndexExpr(name.text, tuple(indices))
 
     def parse_if(self) -> If:
         self.expect("if")
@@ -440,8 +439,8 @@ class _Parser:
         loop_id = len(self.loop_nodes)
         outer = self.loop_path
         node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text,
-                        outer[-1] if outer else None, self.function, start.pos, None,
-                        ancestors=outer[::-1], access_start=len(self.accesses))
+                        outer[::-1], self.function, start.pos, None,
+                        access_start=len(self.accesses))
         self.loop_nodes.append(node)
         self.loop_path = outer + (loop_id,)
         init = step = None
@@ -474,7 +473,7 @@ class _Parser:
             body = self.parse_body()
         self.loop_path = outer
         node.access_stop = len(self.accesses)
-        loop = Loop(node.kind, init, cond, step, body, loop_id, start.pos)
+        loop = Loop(node.kind, init, cond, step, body, loop_id)
         node.counter = _canonical_counter(loop)
         return loop
 
@@ -533,9 +532,8 @@ class _Parser:
                     return CallExpr(text, tuple(args))
                 if after == "[":
                     return self.parse_index(tok)
-                pos = tok.pos
-                self.accesses.append(self.access(text, REF, pos, self.is_array(text)))
-                return VarExpr(text, pos)
+                self.accesses.append(self.access(text, REF, tok.pos, self.is_array(text)))
+                return VarExpr(text)
         elif kind == "num":
             self.i += 1
             text = tok.text
@@ -557,11 +555,12 @@ class _Parser:
 
     def parse_arg(self):
         """A call argument.  An array passed whole may be read and written
-        inside the callee, so its ref is followed by a set, with unknown
-        element indices."""
+        inside the callee, so its ref is followed by a set at the ref's
+        position, with unknown element indices."""
         arg = self.parse_expr()
         if type(arg) is VarExpr and self.is_array(arg.name):
-            self.accesses.append(self.access(arg.name, SET, arg.pos, True))
+            # a bare name, parenthesized or not, records its ref last
+            self.accesses.append(self.access(arg.name, SET, self.accesses[-1].pos, True))
         return arg
 
 

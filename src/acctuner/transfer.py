@@ -78,7 +78,7 @@ def regions(genome_bits: str, genome_map: GenomeMap, tree: list[LoopNode]) -> li
     # the tree is in pre-order, so each parent is mapped before its children
     region_of: list[int | None] = []
     for node in tree:
-        region = None if node.parent is None else region_of[node.parent]
+        region = region_of[node.ancestors[0]] if node.ancestors else None
         if selected[node.loop_id]:
             if region is not None:
                 raise InvalidGenome(

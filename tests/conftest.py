@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,14 +62,19 @@ def analyze(source: str):
     return program, at.build_loop_tree(program), at.extract_accesses(program)
 
 
-def gen_large_source(seed: int) -> str:
-    """The benchmark's sim-large program for a seed (bench/gen_large.py)."""
+def bench_module(name: str):
+    """A module of bench/, which computes what it checks apart from acctuner."""
     sys.path.insert(0, str(FIXTURES.parent.parent / "bench"))
     try:
-        import gen_large
+        return importlib.import_module(name)
     finally:
         sys.path.pop(0)
-    return gen_large.generate(seed)["source"]
+
+
+def gen_large_record(seed: int) -> dict:
+    """The benchmark's sim-large program for a seed with the generator's
+    record of it (bench/gen_large.py)."""
+    return bench_module("gen_large").generate(seed)
 
 
 def is_pragma(line: str) -> bool:

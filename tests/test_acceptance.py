@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import pytest
 
 import acctuner as at
-from acctuner.analysis import Profile, ProfileEntry
+from acctuner.analysis import ProfileEntry
 from acctuner.cli import main
 from acctuner.evaluation import (
     CommandEvaluatorConfig,
@@ -85,8 +85,8 @@ def test_criterion_01_fitness_formula():
 
 def test_criterion_02_gate_boundary():
     _, tree, _ = analyze("int main(){int i; for(i=0;i<10;i++){ i = i; }}")
-    at_threshold = at.gate(tree, Profile({0: ProfileEntry(1, 10_000_000)}))
-    below = at.gate(tree, Profile({0: ProfileEntry(1, 9_999_999)}))
+    at_threshold = at.gate(tree, {0: ProfileEntry(1, 10_000_000)})
+    below = at.gate(tree, {0: ProfileEntry(1, 9_999_999)})
     assert at_threshold.passed is True
     assert below.passed is False
     assert at_threshold.threshold == 10_000_000
@@ -147,7 +147,7 @@ def test_criterion_06_transfer_hoisting_benefit():
     program, tree, accesses = analyze(HOIST_BENEFIT_SOURCE)
     genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
     assert genome_map.loop_ids == (1,)   # only the inner loop is offloadable
-    profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
+    profile = {0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)}
     # constants chosen so every intermediate is an exact binary fraction
     model = CostModel(
         loops={0: LoopCost(0.0, 1.0, 0.0), 1: LoopCost(0.15625, 1.0, 0.0)},
@@ -161,8 +161,8 @@ def test_criterion_06_transfer_hoisting_benefit():
 
     # the same transfer left at its region loop, as without hoisting
     forced = TransferPlan((DataDirective(1, "copyin", ("b",), 1),))
-    assert [profile.entry_count(d.target_loop) for d in plan.directives] == [1]
-    assert [profile.entry_count(d.target_loop) for d in forced.directives] == [1000]
+    assert [profile[d.target_loop].entry_count for d in plan.directives] == [1]
+    assert [profile[d.target_loop].entry_count for d in forced.directives] == [1000]
 
     hoisted_time = at.simulate_time(model, "1", genome_map, tree, profile, plan)
     forced_time = at.simulate_time(model, "1", genome_map, tree, profile, forced)

@@ -45,8 +45,8 @@ def one_loop_tree():
 def test_load_profile_single_record(tmp_path):
     path = write_profile(tmp_path / "p.json", [(0, 1, 10_000_000)])
     profile = load_profile(path, one_loop_tree())
-    assert profile.entry_count(0) == 1
-    assert profile.total_iterations(0) == 10_000_000
+    assert profile[0].entry_count == 1
+    assert profile[0].total_iterations == 10_000_000
 
 
 def test_profile_missing_loop(tmp_path):
@@ -80,7 +80,7 @@ def test_profile_duplicate_record(tmp_path):
 
 def gate_of(total, threshold=10_000_000):
     _, tree, _ = analyze(ONE_LOOP)
-    profile = at.Profile({0: at.analysis.ProfileEntry(1, total)})
+    profile = {0: at.analysis.ProfileEntry(1, total)}
     return gate(tree, profile, threshold)
 
 
@@ -96,15 +96,14 @@ def test_gate_boundary_minus_one():
 
 def test_gate_no_loops():
     _, tree, _ = analyze("int main(){return 0;}")
-    decision = gate(tree, at.Profile({}), 10)
+    decision = gate(tree, {}, 10)
     assert decision.passed is False
     assert decision.loop_id is None
 
 
 def test_gate_reports_qualifying_loop():
     _, tree, _ = analyze(TWO_LOOPS)
-    profile = at.Profile({0: at.analysis.ProfileEntry(1, 5),
-                          1: at.analysis.ProfileEntry(1, 50)})
+    profile = {0: at.analysis.ProfileEntry(1, 5), 1: at.analysis.ProfileEntry(1, 50)}
     decision = gate(tree, profile, 10)
     assert decision.passed and decision.loop_id == 1
 

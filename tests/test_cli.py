@@ -28,7 +28,7 @@ EXIT_PARSE_ERROR, EXIT_PROFILE_ERROR, EXIT_EVALUATOR_FAILURE = 10, 11, 14
 README_ERROR_EXIT_CODES = {
     "InvalidGenome": 1, "OutputError": 1, "UsageError": 2, "ParseError": 10,
     "ProfileError": 11, "EmptyGenome": 13, "ModelError": 14, "SpawnError": 14,
-    "DomainError": 14,
+    "DomainError": 14, "Interrupted": 130,
 }
 
 
@@ -365,6 +365,36 @@ def test_tune_with_command_evaluator(workdir):
     assert not list(workdir.glob("trial_*"))
 
 
+def interrupt_tune(tmp_path, directory, stem, evaluator, started, *extra):
+    """Run a `tune` subprocess, send it SIGINT once `started()` holds, and
+    check that it ends within 2 s with exit 130, one JSON error line on
+    stderr and no output file."""
+    args = ["tune", "--source", str(directory / f"{stem}.c"),
+            "--profile", str(directory / f"{stem}_profile.json"), "--evaluator", evaluator,
+            *extra, "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    with subprocess.Popen([sys.executable, "-m", "acctuner", *args], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            deadline = time.monotonic() + 30
+            while not started() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert started(), "the search did not start"
+            assert proc.poll() is None, "the tune ended before the interrupt"
+            proc.send_signal(signal.SIGINT)
+            _, stderr = proc.communicate(timeout=2)
+        finally:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130, stderr
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    assert json.loads(lines[0]) == {"error": {
+        "type": "Interrupted", "message": "interrupted", "exit_code": 130}}
+    assert not (tmp_path / "out.c").exists() and not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_interrupt_stops_the_running_trials(tmp_path, workers):
     # each run step marks its start, then would mark a late finish
@@ -372,25 +402,20 @@ def test_interrupt_stops_the_running_trials(tmp_path, workers):
     config.write_text(json.dumps({
         "compile_cmd": "true", "workdir": str(tmp_path),
         "run_cmd": "touch '{bin}.started'; sleep 3; touch '{bin}.late'"}))
-    tune = FIXTURES / "tune"
-    args = ["tune", "--source", str(tune / "mix10.c"), "--profile", str(tune / "mix10_profile.json"),
-            "--evaluator", f"cmd:{config}", "--gens", "2", "--workers", str(workers),
-            "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
-    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
-    with subprocess.Popen([sys.executable, "-m", "acctuner", *args], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
-        try:
-            deadline = time.monotonic() + 30
-            while not list(tmp_path.glob("*.started")) and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert list(tmp_path.glob("*.started")), "no trial started"
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=2)
-        finally:
-            proc.kill()
-            proc.wait()
+    interrupt_tune(tmp_path, FIXTURES / "tune", "mix10", f"cmd:{config}",
+                   lambda: bool(list(tmp_path.glob("*.started"))),
+                   "--gens", "2", "--workers", str(workers))
     time.sleep(4)
     assert not list(tmp_path.glob("*.late"))
+    assert not list(tmp_path.glob("trial_*.c"))    # the trial sources are removed
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_stops_a_simulated_tune(tmp_path, workers):
+    start = time.monotonic()
+    interrupt_tune(tmp_path, FIXTURES / "stress", "stress75",
+                   f"sim:{FIXTURES / 'stress' / 'stress75_model.json'}",
+                   lambda: time.monotonic() - start > 1, "--gens", "200", "--workers", str(workers))
 
 
 def test_run_pipeline_api_matches_cli(workdir):

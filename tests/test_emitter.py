@@ -79,7 +79,7 @@ def test_reparse_safety(stem):
     original_tree = at.build_loop_tree(at.parse(source))
     reparsed_tree = at.build_loop_tree(at.parse(annotated.text))
     def shape(tree):
-        return [(n.loop_id, n.kind, n.parent, n.function, n.counter)
+        return [(n.loop_id, n.kind, n.ancestors, n.function, n.counter)
                 for n in tree]
     assert shape(reparsed_tree) == shape(original_tree)
 

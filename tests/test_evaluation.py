@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from acctuner.analysis import GenomeMap, Profile, ProfileEntry
+from acctuner.analysis import GenomeMap, ProfileEntry
 from acctuner.errors import ModelError, SpawnError
 from acctuner.evaluation import (
     CommandEvaluatorConfig,
@@ -24,8 +24,8 @@ from conftest import analyze
 
 
 def single_loop_setup():
-    tree = [LoopNode(0, "for", None, "main", SourcePos(1, 1), "i")]
-    profile = Profile({0: ProfileEntry(1, 1_000_000)})
+    tree = [LoopNode(0, "for", (), "main", SourcePos(1, 1), "i")]
+    profile = {0: ProfileEntry(1, 1_000_000)}
     return tree, profile, GenomeMap((0,))
 
 
@@ -56,10 +56,10 @@ def test_simulate_speedup_one_neutrality():
 
 
 def test_simulate_nested_region_sums_subtree():
-    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    outer = LoopNode(0, "for", (), "main", SourcePos(1, 1), "t")
+    inner = LoopNode(1, "for", (0,), "main", SourcePos(2, 1), "i")
     tree = [outer, inner]
-    profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
+    profile = {0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)}
     model = CostModel({0: LoopCost(2.0, 4.0, 50.0), 1: LoopCost(1.0, 4.0, 50.0)},
                       {}, 0.0, 0.0)
     gm = GenomeMap((0, 1))
@@ -95,10 +95,10 @@ def test_simulate_purity():
 
 
 def test_unhoisted_plan_never_faster():
-    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    outer = LoopNode(0, "for", (), "main", SourcePos(1, 1), "t")
+    inner = LoopNode(1, "for", (0,), "main", SourcePos(2, 1), "i")
     tree = [outer, inner]
-    profile = Profile({0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)})
+    profile = {0: ProfileEntry(1, 1000), 1: ProfileEntry(1000, 100_000)}
     model = CostModel({0: LoopCost(0.0, 1.0, 0.0), 1: LoopCost(1.0, 2.0, 0.0)},
                       {"b": 2048.0}, 5.0, 1.0)
     gm = GenomeMap((0, 1))

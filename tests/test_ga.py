@@ -39,7 +39,7 @@ class ScriptedRng:
 
 
 def sibling_tree(count):
-    nodes = [LoopNode(i, "for", None, "main", SourcePos(i + 1, 1), f"i{i}")
+    nodes = [LoopNode(i, "for", (), "main", SourcePos(i + 1, 1), f"i{i}")
              for i in range(count)]
     return nodes
 
@@ -256,8 +256,8 @@ def test_run_ga_history_counters_are_cumulative():
 
 def test_run_ga_invalid_nested_selection_penalized_without_eval():
     # loop 1 nests inside loop 0: genome 11 is invalid
-    outer = LoopNode(0, "for", None, "main", SourcePos(1, 1), "t")
-    inner = LoopNode(1, "for", 0, "main", SourcePos(2, 1), "i", ancestors=(0,))
+    outer = LoopNode(0, "for", (), "main", SourcePos(1, 1), "t")
+    inner = LoopNode(1, "for", (0,), "main", SourcePos(2, 1), "i")
     tree = [outer, inner]
     gm = GenomeMap((0, 1))
     table = {"00": 4.0, "01": 3.0, "10": 2.0}

@@ -4,7 +4,7 @@ import pytest
 
 from acctuner.loops import DEFINE, REF, SET
 
-from conftest import FIXTURES, analyze, gen_large_source
+from conftest import FIXTURES, analyze, bench_module, gen_large_record
 from test_golden import EDGE_SOURCES
 
 
@@ -16,14 +16,13 @@ def test_sibling_loops_numbered_in_order():
     _, tree, _ = analyze(
         "int main(){int i; int j;"
         " for(i=0;i<3;i++){} for(j=0;j<3;j++){} }")
-    assert [(n.loop_id, n.parent) for n in tree] == [(0, None), (1, None)]
+    assert [(n.loop_id, n.ancestors) for n in tree] == [(0, ()), (1, ())]
 
 
 def test_nested_loops_parent_links():
     _, tree, _ = analyze(
         "int main(){int i; int j; for(i=0;i<3;i++){ for(j=0;j<3;j++){} }}")
-    assert tree[0].parent is None
-    assert tree[1].parent == 0
+    assert tree[0].ancestors == ()
     assert tree[1].ancestors == (0,)
 
 
@@ -43,7 +42,7 @@ def test_while_wrapping_for_numbering():
     assert tree[0].kind == "while"
     assert tree[0].counter is None
     assert tree[1].kind == "for"
-    assert tree[1].parent == 0
+    assert tree[1].ancestors == (0,)
 
 
 def test_preorder_matches_textual_order():
@@ -256,24 +255,35 @@ RUN_SOURCES = [*(path.relative_to(BENCH.parent).as_posix()
                *(f"gen_large:{seed}" for seed in (1, 2, 3)), "edge:access_order"]
 
 
-def run_source(name: str) -> str:
+# the parent of each loop of the edge program, by hand
+ACCESS_ORDER_PARENTS = [None, None, None, None, None, None, None, 6, None]
+
+
+def run_source(name: str) -> tuple[str, list[int | None]]:
+    """The source and a record of each loop's parent made apart from
+    acctuner: the generator's own for gen_large, a brace count
+    (bench/checks.scan_loops) for a file."""
     kind, _, rest = name.partition(":")
     if kind == "edge":
-        return EDGE_SOURCES[rest]
+        return EDGE_SOURCES[rest], ACCESS_ORDER_PARENTS
     if kind == "gen_large":
-        return gen_large_source(int(rest))
-    return (BENCH.parent / name).read_text()
+        record = gen_large_record(int(rest))
+        return record["source"], [loop["parent"] for loop in record["record"]["loops"]]
+    text = (BENCH.parent / name).read_text()
+    loops = bench_module("checks").scan_loops(text)
+    return text, [loop["parent"] for loop in loops]
 
 
 @pytest.mark.parametrize("name", RUN_SOURCES)
 def test_each_loop_records_its_ancestors_and_its_run_of_accesses(name):
-    _, tree, accesses = analyze(run_source(name))
-    assert tree
+    text, parents = run_source(name)
+    _, tree, accesses = analyze(text)
+    assert tree and len(tree) == len(parents)
     for node in tree:
-        chain, parent = [], node.parent
+        chain, parent = [], parents[node.loop_id]
         while parent is not None:
             chain.append(parent)
-            parent = tree[parent].parent
+            parent = parents[parent]
         assert node.ancestors == tuple(chain), node.loop_id
         run = accesses[node.access_start:node.access_stop]
         inside = [a for a in accesses if node.loop_id in a.loop_path]

@@ -5,12 +5,12 @@ import random
 import pytest
 
 import acctuner as at
-from acctuner.analysis import Profile, ProfileEntry
+from acctuner.analysis import ProfileEntry
 from acctuner.errors import InvalidGenome
 from acctuner.transfer import check_genome_valid, plan_transfers, regions
 
 import lowering_family
-from conftest import FIXTURES, analyze, gen_large_source
+from conftest import FIXTURES, analyze, gen_large_record
 
 
 def plan_for(text, bits):
@@ -211,10 +211,10 @@ def test_hoisting_is_maximal():
     _, tree, accesses, gm, plan = plan_for(text, "1")
     selected = {1}
     for directive in plan.directives:
-        target = directive.target_loop
-        parent = tree[target].parent
-        if parent is None:
+        ancestors = tree[directive.target_loop].ancestors
+        if not ancestors:
             continue
+        parent = ancestors[0]
         kinds = ("set", "define") if directive.clause == "copyin" \
             else ("ref", "set", "define")
         blocked = [a for a in accesses
@@ -227,25 +227,25 @@ def test_hoisting_is_maximal():
 def test_exec_counts_follow_entry_counts():
     text = (GOLDEN / "hoist.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
-    profile = Profile({0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)})
-    by_clause = {d.clause: profile.entry_count(d.target_loop) for d in plan.directives}
+    profile = {0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)}
+    by_clause = {d.clause: profile[d.target_loop].entry_count for d in plan.directives}
     assert by_clause == {"copyin": 1, "copyout": 100}
 
 
 def test_exec_count_zero_for_dead_loop():
     text = (GOLDEN / "copyinout.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
-    profile = Profile({0: ProfileEntry(0, 0)})
-    assert all(profile.entry_count(d.target_loop) == 0 for d in plan.directives)
+    profile = {0: ProfileEntry(0, 0)}
+    assert all(profile[d.target_loop].entry_count == 0 for d in plan.directives)
 
 
 def test_unhoisted_counts_dominate():
     text = (GOLDEN / "hoist.c").read_text()
     _, tree, _, _, plan = plan_for(text, "1")
-    profile = Profile({0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)})
+    profile = {0: ProfileEntry(1, 100), 1: ProfileEntry(100, 6400)}
     for directive in plan.directives:
-        assert (profile.entry_count(directive.target_loop)
-                <= profile.entry_count(directive.origin_region))
+        assert (profile[directive.target_loop].entry_count
+                <= profile[directive.origin_region].entry_count)
 
 
 def test_plan_determinism_and_canonical_order(tune_fixtures):
@@ -414,7 +414,7 @@ def test_lowering_family_plans_name_no_variable_in_nested_constructs():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_gen_large_plans_name_no_variable_in_nested_constructs(seed):
-    program, tree, accesses = analyze(gen_large_source(seed))
+    program, tree, accesses = analyze(gen_large_record(seed)["source"])
     gm = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
     rng = random.Random(seed)
     planned = 0
