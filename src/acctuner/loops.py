@@ -2,9 +2,8 @@
 
 The loop tree is a list with one LoopNode per for/while/do-while statement,
 `tree[k]` for loop k, numbered in textual pre-order so genome positions stay
-stable across runs; each node records its ancestors, nearest first (so its
-parent is `ancestors[0]`, and a top-level loop has none), and its run of
-accesses.
+stable across runs; each node records its ancestors, nearest first, so that
+its parent is `ancestors[0]`, and its run of accesses.
 Each access classifies one identifier occurrence as define/set/ref together
 with its enclosing-loop chain; those records drive both the
 parallelizability checks and the data-transfer planner.  The parser records

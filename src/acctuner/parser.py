@@ -438,9 +438,8 @@ class _Parser:
         start = self.advance()
         loop_id = len(self.loop_nodes)
         outer = self.loop_path
-        node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text,
-                        outer[::-1], self.function, start.pos, None,
-                        access_start=len(self.accesses))
+        node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text, outer[::-1],
+                        self.function, start.pos, None, access_start=len(self.accesses))
         self.loop_nodes.append(node)
         self.loop_path = outer + (loop_id,)
         init = step = None
@@ -555,11 +554,10 @@ class _Parser:
 
     def parse_arg(self):
         """A call argument.  An array passed whole may be read and written
-        inside the callee, so its ref is followed by a set at the ref's
-        position, with unknown element indices."""
+        inside the callee, so its ref, the last access a bare name records,
+        is followed by a set at its position, with unknown element indices."""
         arg = self.parse_expr()
         if type(arg) is VarExpr and self.is_array(arg.name):
-            # a bare name, parenthesized or not, records its ref last
             self.accesses.append(self.access(arg.name, SET, self.accesses[-1].pos, True))
         return arg
 
