@@ -22,7 +22,7 @@ import bisect
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 from .analysis import GenomeMap
@@ -161,6 +161,9 @@ def _evaluate_all(evaluate, genomes: list[str], workers: int) -> dict[str, Measu
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(evaluate, bits) for bits in genomes]
         try:
+            # one wake-up, not one per trial: the waiting thread would take the
+            # GIL from a worker each time
+            wait(futures, return_when=FIRST_EXCEPTION)
             return {bits: future.result() for bits, future in zip(genomes, futures)}
         except BaseException:
             pool.shutdown(wait=False, cancel_futures=True)
