@@ -152,26 +152,27 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
-def _evaluate_all(evaluate, genomes: list[str], workers: int) -> dict[str, Measurement]:
-    """Each genome's measurement, from a pool of worker threads.  When the
-    wait raises (an interrupt reaches only this thread), the trials not yet
-    started are dropped and the commands of those running are killed until
-    each trial has ended: the pool's exit waits for them, and a command may
-    run for its whole timeout.  Every trial runs here, one worker or many."""
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(evaluate, bits) for bits in genomes]
-        try:
-            # one wake-up, not one per trial: the waiting thread would take the
-            # GIL from a worker each time
-            wait(futures, return_when=FIRST_EXCEPTION)
-            return {bits: future.result() for bits, future in zip(genomes, futures)}
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            # a trial between its compile and its run starts a command late
-            while not all(future.done() for future in futures):
-                kill_running()
-                wait(futures, timeout=0.05)
-            raise
+def _evaluate_all(pool: ThreadPoolExecutor, evaluate,
+                  genomes: list[str]) -> dict[str, Measurement]:
+    """Each genome's measurement, from the search's pool of worker threads.
+    When the wait raises (an interrupt reaches only this thread), the trials
+    not yet started are dropped and the commands of those running are
+    killed until each trial has ended: the pool's exit waits for them, and a
+    command may run for its whole timeout.  Every trial runs here, one
+    worker or many."""
+    futures = [pool.submit(evaluate, bits) for bits in genomes]
+    try:
+        # one wake-up, not one per trial: the waiting thread would take the
+        # GIL from a worker each time
+        wait(futures, return_when=FIRST_EXCEPTION)
+        return {bits: future.result() for bits, future in zip(genomes, futures)}
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        # a trial between its compile and its run starts a command late
+        while not all(future.done() for future in futures):
+            kill_running()
+            wait(futures, timeout=0.05)
+        raise
 
 
 def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
@@ -203,59 +204,62 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
     evaluations = 0
     hits = 0
 
-    for generation in range(1, config.generations + 1):
-        # evaluate the distinct valid genomes this generation adds, then
-        # score every individual from its genome's outcome
-        fresh = []
-        for bits in dict.fromkeys(population):
-            if bits not in outcomes:
-                if check_genome_valid(bits, genome_map, tree):
-                    fresh.append(bits)
+    # one pool for the whole search: a thread started per generation made
+    # each simulated evaluation slower
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for generation in range(1, config.generations + 1):
+            # evaluate the distinct valid genomes this generation adds, then
+            # score every individual from its genome's outcome
+            fresh = []
+            for bits in dict.fromkeys(population):
+                if bits not in outcomes:
+                    if check_genome_valid(bits, genome_map, tree):
+                        fresh.append(bits)
+                    else:
+                        outcomes[bits] = nested
+            new = _evaluate_all(pool, evaluate, fresh)
+            for bits, measurement in new.items():
+                outcomes[bits] = (measurement if measurement.status == MEASURED
+                                  else Measurement(config.penalty_seconds, measurement.status))
+            evaluations += len(new)
+
+            evaluated: list[EvaluatedIndividual] = []
+            for bits in population:
+                outcome = outcomes[bits]
+                if outcome is nested or new.pop(bits, None) is not None:
+                    status = outcome.status
                 else:
-                    outcomes[bits] = nested
-        new = _evaluate_all(evaluate, fresh, config.workers)
-        for bits, measurement in new.items():
-            outcomes[bits] = (measurement if measurement.status == MEASURED
-                              else Measurement(config.penalty_seconds, measurement.status))
-        evaluations += len(new)
+                    status = CACHE_HIT
+                    hits += 1
+                individual = EvaluatedIndividual(
+                    bits, outcome.seconds, fitness_from_time(outcome.seconds), status)
+                evaluated.append(individual)
+                key = (outcome.status != MEASURED, outcome.seconds)
+                if key < best_key:
+                    best, best_key = individual, key
 
-        evaluated: list[EvaluatedIndividual] = []
-        for bits in population:
-            outcome = outcomes[bits]
-            if outcome is nested or new.pop(bits, None) is not None:
-                status = outcome.status
-            else:
-                status = CACHE_HIT
-                hits += 1
-            individual = EvaluatedIndividual(
-                bits, outcome.seconds, fitness_from_time(outcome.seconds), status)
-            evaluated.append(individual)
-            key = (outcome.status != MEASURED, outcome.seconds)
-            if key < best_key:
-                best, best_key = individual, key
+            gen_best = max(range(size), key=lambda i: (evaluated[i].fitness, -i))
+            history.append(GenerationStats(
+                gen=generation,
+                best_seconds=evaluated[gen_best].seconds,
+                best_fitness=evaluated[gen_best].fitness,
+                mean_fitness=sum(ind.fitness for ind in evaluated) / size,
+                evals=evaluations,
+                cache_hits=hits,
+            ))
 
-        gen_best = max(range(size), key=lambda i: (evaluated[i].fitness, -i))
-        history.append(GenerationStats(
-            gen=generation,
-            best_seconds=evaluated[gen_best].seconds,
-            best_fitness=evaluated[gen_best].fitness,
-            mean_fitness=sum(ind.fitness for ind in evaluated) / size,
-            evals=evaluations,
-            cache_hits=hits,
-        ))
+            if generation == config.generations:
+                break
 
-        if generation == config.generations:
-            break
-
-        parents = select_next_parents(evaluated, rng)
-        offspring = [parents[0]]  # the elite skips crossover and mutation
-        for index in range(1, size, 2):
-            # an odd one out at the end is only mutated
-            pair = (one_point_crossover(parents[index], parents[index + 1],
-                                        config.crossover_rate, rng)
-                    if index + 1 < size else (parents[index],))
-            offspring.extend(mutate(child, config.mutation_rate, rng) for child in pair)
-        population = offspring
+            parents = select_next_parents(evaluated, rng)
+            offspring = [parents[0]]  # the elite skips crossover and mutation
+            for index in range(1, size, 2):
+                # an odd one out at the end is only mutated
+                pair = (one_point_crossover(parents[index], parents[index + 1],
+                                            config.crossover_rate, rng)
+                        if index + 1 < size else (parents[index],))
+                offspring.extend(mutate(child, config.mutation_rate, rng) for child in pair)
+            population = offspring
 
     return SearchResult(
         best=best,
