@@ -152,18 +152,15 @@ def mutate(genome: str, mutation_rate: float, rng: random.Random) -> str:
     )
 
 
-def _evaluate_all(pool: ThreadPoolExecutor, evaluate,
-                  genomes: list[str]) -> dict[str, Measurement]:
-    """Each genome's measurement, from the search's pool of worker threads.
-    When the wait raises (an interrupt reaches only this thread), the trials
-    not yet started are dropped and the commands of those running are
-    killed until each trial has ended: the pool's exit waits for them, and a
-    command may run for its whole timeout.  Every trial runs here, one
-    worker or many."""
+def _evaluate_all(pool, evaluate, genomes: list[str]) -> dict[str, Measurement]:
+    """Each genome's measurement, from the search's pool of worker threads,
+    which runs every trial.  When the wait raises (an interrupt reaches only
+    this thread), the trials not yet started are dropped and the commands of
+    those running are killed until each trial has ended: the pool's exit
+    waits for them, and a command may run for its whole timeout."""
     futures = [pool.submit(evaluate, bits) for bits in genomes]
     try:
-        # one wake-up, not one per trial: the waiting thread would take the
-        # GIL from a worker each time
+        # one wake-up: one per trial would take the GIL from a worker each time
         wait(futures, return_when=FIRST_EXCEPTION)
         return {bits: future.result() for bits, future in zip(genomes, futures)}
     except BaseException:
@@ -204,8 +201,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
     evaluations = 0
     hits = 0
 
-    # one pool for the whole search: a thread started per generation made
-    # each simulated evaluation slower
+    # one pool per search: sim: evaluations ran slower on a thread per generation
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         for generation in range(1, config.generations + 1):
             # evaluate the distinct valid genomes this generation adds, then
@@ -254,7 +250,6 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
             parents = select_next_parents(evaluated, rng)
             offspring = [parents[0]]  # the elite skips crossover and mutation
             for index in range(1, size, 2):
-                # an odd one out at the end is only mutated
                 pair = (one_point_crossover(parents[index], parents[index + 1],
                                             config.crossover_rate, rng)
                         if index + 1 < size else (parents[index],))
