@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .nodes import Assign, BinaryExpr, IncDec, Loop, NumLit, Program, SourcePos, VarExpr
+from .nodes import Assign, BinaryExpr, Loop, NumLit, Program, SourcePos, VarExpr
 
 DEFINE = "define"
 SET = "set"
@@ -73,9 +73,10 @@ def extract_accesses(program: Program) -> list[VarAccess]:
 def _canonical_counter(loop: Loop) -> str | None:
     """The counter of a canonical counted loop, else None.
 
-    Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i++` or
-    `i += c` with c a positive integer literal.  A while or do-while loop
-    has no init, so it is never canonical.
+    Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i += c` with
+    c a positive integer literal, which covers `i++` since the parser reads
+    it as `i += 1`.  A while or do-while loop has no init, so it is never
+    canonical.
     """
     init, cond, step = loop.init, loop.cond, loop.step
     if not (isinstance(init, Assign) and init.op == "=" and isinstance(init.target, VarExpr)):
@@ -84,8 +85,6 @@ def _canonical_counter(loop: Loop) -> str | None:
     if not (isinstance(cond, BinaryExpr) and cond.op in ("<", "<=")
             and isinstance(cond.left, VarExpr) and cond.left.name == name):
         return None
-    if isinstance(step, IncDec):
-        return name if step.op == "++" and step.target.name == name else None
     if (isinstance(step, Assign) and step.op == "+=" and isinstance(step.target, VarExpr)
             and step.target.name == name and isinstance(step.value, NumLit)
             and not step.value.is_float and step.value.value > 0):

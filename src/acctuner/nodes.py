@@ -2,8 +2,11 @@
 
 A node holds what a later pass reads.  No node carries a position: the
 parser gives each access and each loop's LoopNode the (line, col) of its
-token (loops.py), and no pass reads one off the AST.  All three loop kinds
-are one `Loop`.
+token (loops.py), and no pass reads one off the AST.  There are no wrapper
+nodes: a block, and a loop, if or function body, is a plain list of
+statements, in which a nested braced block is a list of its own; a call
+statement is its CallExpr; `i++` and `i--` are read as the Assigns
+`i += 1` and `i -= 1`.  All three loop kinds are one `Loop`.
 """
 
 from __future__ import annotations
@@ -75,16 +78,10 @@ class Assign:
 
 
 @dataclass
-class IncDec:
-    target: VarExpr
-    op: str                 # '++' or '--'
-
-
-@dataclass
 class If:
     cond: object
-    then_body: "Block"
-    else_body: "Block | None"
+    then_body: list
+    else_body: list | None
 
 
 @dataclass
@@ -92,14 +89,9 @@ class Loop:
     kind: str                       # 'for' | 'while' | 'dowhile'
     init: Assign | None             # None unless a for loop has one
     cond: object | None
-    step: Assign | IncDec | None    # None unless a for loop has one
-    body: "Block"
+    step: Assign | None             # None unless a for loop has one
+    body: list
     loop_id: int
-
-
-@dataclass
-class CallStmt:
-    call: CallExpr
 
 
 @dataclass
@@ -108,15 +100,10 @@ class Return:
 
 
 @dataclass
-class Block:
-    statements: list
-
-
-@dataclass
 class Function:
     name: str
     params: list[Decl]
-    body: Block
+    body: list
 
 
 @dataclass

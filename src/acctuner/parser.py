@@ -6,13 +6,14 @@ Grammar (informal):
     function  = type IDENT '(' [ param { ',' param } ] ')' block
     param     = type IDENT [ dims ]
     block     = '{' { stmt } '}'
-    stmt      = decl | assign ';' | incdec ';' | call ';' | if | for
-              | while | dowhile | return | block
+    stmt      = decl | assign ';' | call ';' | if | for | while | dowhile
+              | return | block
     decl      = type declarator { ',' declarator } ';'
     declarator= IDENT [ dims ] [ '=' expr ]
     dims      = '[' [ expr ] ']' [ '[' [ expr ] ']' ]
     assign    = lvalue ( '=' | '+=' | '-=' | '*=' | '/=' ) expr
-    for       = 'for' '(' [ assign ] ';' [ expr ] ';' [ assign | incdec ] ')' body
+              | IDENT ( '++' | '--' )
+    for       = 'for' '(' [ assign ] ';' [ expr ] ';' [ assign ] ')' body
     while     = 'while' '(' expr ')' body
     dowhile   = 'do' body 'while' '(' expr ')' ';'
 
@@ -33,16 +34,16 @@ the AST again.  A loop's LoopNode is numbered when its keyword is read,
 before the loops in its body; its ancestors are the open loops, nearest
 first, and a `return` marks every open loop as left early.  Accesses follow
 the source, one per identifier occurrence and two (at one position) for a
-compound assignment's target, for `++`/`--` and for an array passed whole to
-a call, which gets a ref then a set.  Where a record needs what comes later,
-its list slot is reserved first: an indexed name's access goes ahead of its
-subscripts' reads, and an assignment target's set, then a compound
-operator's ref, ahead of the target's subscript reads.  A declarator's
-define, as an array if `[` follows the name, goes ahead of its dims and
-initializer; a parameter's dims record nothing.  Each block, braced or a
-lone loop or if body, opens a scope, and a name's access is an array's when
-its innermost declaration is.  No record moves out of its statement, so a
-loop's accesses are the run of the list that it adds, from its keyword to
+compound assignment's target, `i++` being `i += 1`, and for an array passed
+whole to a call, which gets a ref then a set.  Where a record needs what
+comes later, its list slot is reserved first: an indexed name's access goes
+ahead of its subscripts' reads, and an assignment target's set, then a
+compound operator's ref, ahead of the target's subscript reads.  A
+declarator's define, as an array if `[` follows the name, goes ahead of its
+dims and initializer; a parameter's dims record nothing.  Each block, braced
+or a lone loop or if body, opens a scope, and a name's access is an array's
+when its innermost declaration is.  No record moves out of its statement, so
+a loop's accesses are the run of the list that it adds, from its keyword to
 the end of its body or do-while condition.
 """
 
@@ -57,13 +58,10 @@ from .loops import (DEFINE, REF, SET, LoopNode, VarAccess, _canonical_counter,
 from .nodes import (
     Assign,
     BinaryExpr,
-    Block,
     CallExpr,
-    CallStmt,
     Decl,
     Function,
     If,
-    IncDec,
     IndexExpr,
     Loop,
     NumLit,
@@ -252,11 +250,7 @@ class _Parser:
         return Program(functions, self.text, self.loop_nodes, self.accesses)
 
     def parse_function(self) -> Function:
-        start = self.peek()
-        self.check_supported(start)
-        if start.text not in TYPE_KEYWORDS:
-            self.error(f"expected a function definition, found {start.text!r}", start)
-        self.advance()
+        self.expect_type("a function definition")
         name = self.expect_ident()
         self.function = name.text
         self.scopes = [{}]      # the parameters'; the body opens its own
@@ -269,6 +263,13 @@ class _Parser:
         self.expect(")")
         return Function(name.text, params, self.parse_block())
 
+    def expect_type(self, what: str):
+        tok = self.peek()
+        self.check_supported(tok)
+        if tok.text not in TYPE_KEYWORDS:
+            self.error(f"expected {what}, found {tok.text!r}", tok)
+        self.advance()
+
     def expect_ident(self) -> Token:
         tok = self.peek()
         self.check_supported(tok)
@@ -277,11 +278,7 @@ class _Parser:
         return self.advance()
 
     def parse_param(self) -> Decl:
-        type_tok = self.peek()
-        self.check_supported(type_tok)
-        if type_tok.text not in TYPE_KEYWORDS:
-            self.error(f"expected parameter type, found {type_tok.text!r}", type_tok)
-        self.advance()
+        self.expect_type("parameter type")
         name = self.expect_ident()
         self.declare(name, self.at("["))
         recorded = len(self.accesses)
@@ -304,49 +301,42 @@ class _Parser:
                 self.error("arrays of more than two dimensions are not supported")
         return tuple(dims)
 
-    def parse_block(self) -> Block:
+    def parse_block(self) -> list:
         self.nest(self.expect("{"))
         self.scopes.append({})
         statements = []
         while not self.at("}"):
             if self.peek().kind == "eof":
                 self.error("unterminated block; expected '}'")
-            stmt = self.parse_stmt()
-            if isinstance(stmt, list):  # comma-separated declarators
-                statements.extend(stmt)
-            else:
-                statements.append(stmt)
+            self.parse_stmt(statements)
         self.expect("}")
         self.scopes.pop()
         self.depth -= 1
-        return Block(statements)
+        return statements
 
-    def parse_stmt(self):
+    def parse_stmt(self, block: list):
+        """Append the next statement to block.  A declaration appends one
+        Decl per declarator, so a comma list stays a flat run of Decls."""
         tok = self.peek()
         self.check_supported(tok)
         if tok.text in TYPE_KEYWORDS:
-            return self.parse_decl_stmt()
-        if tok.text == "if":
-            return self.parse_if()
-        if tok.text in ("for", "while", "do"):
-            return self.parse_loop()
-        if tok.text == "return":
-            return self.parse_return()
-        if tok.text == "{":
-            return self.parse_block()
-        if tok.kind == "ident":
-            return self.parse_simple_stmt()
-        self.error(f"expected a statement, found {tok.text!r}", tok)
-
-    def parse_decl_stmt(self) -> Decl | list[Decl]:
-        self.advance()
-        decls = [self.parse_declarator()]
-        while self.accept(","):
-            decls.append(self.parse_declarator())
-        self.expect(";")
-        # a comma list stays a flat run of Decls in the enclosing block so the
-        # declared names land in the enclosing scope
-        return decls[0] if len(decls) == 1 else decls
+            self.advance()
+            block.append(self.parse_declarator())
+            while self.accept(","):
+                block.append(self.parse_declarator())
+            self.expect(";")
+        elif tok.text == "if":
+            block.append(self.parse_if())
+        elif tok.text in ("for", "while", "do"):
+            block.append(self.parse_loop())
+        elif tok.text == "return":
+            block.append(self.parse_return())
+        elif tok.text == "{":
+            block.append(self.parse_block())
+        elif tok.kind == "ident":
+            block.append(self.parse_simple_stmt())
+        else:
+            self.error(f"expected a statement, found {tok.text!r}", tok)
 
     def parse_declarator(self) -> Decl:
         name = self.expect_ident()
@@ -360,21 +350,15 @@ class _Parser:
         return Decl(name.text, dims, init)
 
     def parse_simple_stmt(self):
-        start = self.peek()
-        if self.peek(1).text == "(":
-            call = self.parse_primary()
-            if not isinstance(call, CallExpr):
-                self.error("expected a call statement", start)
-            self.expect(";")
-            return CallStmt(call)
-        stmt = self.parse_assign_or_incdec()
+        """A call statement, which is its CallExpr, or an assignment."""
+        stmt = self.parse_primary() if self.peek(1).text == "(" else self.parse_assign()
         self.expect(";")
         return stmt
 
-    def parse_assign_or_incdec(self):
-        """An assignment or `++`/`--`.  The target's set, then the ref of a
-        compound operator or of `++`/`--`, take the slot of the target's ref,
-        ahead of its subscripts' reads."""
+    def parse_assign(self) -> Assign:
+        """An assignment, with `i++` and `i--` read as `i += 1` and `i -= 1`.
+        The target's set, then a compound operator's ref, take the slot of
+        the target's ref, ahead of its subscripts' reads."""
         name = self.expect_ident()
         accesses = self.accesses
         slot = len(accesses)
@@ -385,14 +369,15 @@ class _Parser:
             accesses.append(self.access(name.text, REF, name.pos, self.is_array(name.text)))
         ref = accesses[slot]
         op_tok = self.advance()
-        incdec = op_tok.text in ("++", "--") and type(target) is VarExpr
-        if not incdec and op_tok.text not in ASSIGN_OPS:
-            self.error(f"expected an assignment operator, found {op_tok.text!r}", op_tok)
-        set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.indices)
-        accesses[slot:slot + 1] = (set_,) if op_tok.text == "=" else (set_, ref)
+        op = op_tok.text
+        incdec = op in ("++", "--") and type(target) is VarExpr
         if incdec:
-            return IncDec(target, op_tok.text)
-        return Assign(target, op_tok.text, self.parse_expr())
+            op = op[0] + "="
+        elif op not in ASSIGN_OPS:
+            self.error(f"expected an assignment operator, found {op!r}", op_tok)
+        set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.indices)
+        accesses[slot:slot + 1] = (set_,) if op == "=" else (set_, ref)
+        return Assign(target, op, NumLit(1.0, False) if incdec else self.parse_expr())
 
     def parse_index(self, name: Token) -> IndexExpr:
         """name's subscripts, with the array's ref recorded ahead of their reads."""
@@ -422,16 +407,18 @@ class _Parser:
             else_body = self.parse_body()
         return If(cond, then_body, else_body)
 
-    def parse_body(self) -> Block:
-        """A loop/if body: a braced block, or a single statement wrapped in one."""
+    def parse_body(self) -> list:
+        """A loop/if body: a braced block, or a single statement in a list
+        of its own, which opens a scope like a block."""
         if self.at("{"):
             return self.parse_block()
         self.nest(self.peek())
         self.scopes.append({})
-        stmt = self.parse_stmt()
+        body = []
+        self.parse_stmt(body)
         self.scopes.pop()
         self.depth -= 1
-        return Block(stmt if isinstance(stmt, list) else [stmt])
+        return body
 
     def parse_loop(self) -> Loop:
         """A for, while or do-while loop, numbered before the loops in its body."""
@@ -459,14 +446,15 @@ class _Parser:
                 cond = self.parse_expr()
             else:
                 if not self.at(";"):
-                    init = self.parse_assign_or_incdec()
-                    if isinstance(init, IncDec):
+                    incdec = self.peek(1).text in ("++", "--")
+                    init = self.parse_assign()
+                    if incdec:      # parsed first, so that its own errors come first
                         self.error("for-loop initializer must be an assignment", start)
                 self.expect(";")
                 cond = None if self.at(";") else self.parse_expr()
                 self.expect(";")
                 if not self.at(")"):
-                    step = self.parse_assign_or_incdec()
+                    step = self.parse_assign()
             self.expect(")")
             self.header_of = None
             body = self.parse_body()

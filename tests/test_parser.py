@@ -2,7 +2,7 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import ParseError
-from acctuner.nodes import Decl, Loop
+from acctuner.nodes import Assign, CallExpr, Decl, If, Loop, NumLit, VarExpr
 from acctuner.parser import parse, tokenize
 
 
@@ -118,6 +118,9 @@ ERROR_CORPUS = [
      "unexpected character '\\\\'", 1, 22),
     ('int main(){ /\\\n* note */ return 0; }',
      "unexpected character '\\\\'", 1, 14),
+    # an unsupported keyword inside an expression
+    ('int main(){int x; x = sizeof(x);}',
+     "unsupported construct 'sizeof'", 1, 23),
 ]
 
 
@@ -204,17 +207,24 @@ def test_statement_variety_roundtrip():
     assert fn.name == "compute"
     assert [p.name for p in fn.params] == ["n", "data"]
     assert [len(p.dims) for p in fn.params] == [0, 1]
-    kinds = [type(s).__name__ for s in fn.body.statements]
-    assert "If" in kinds and "CallStmt" in kinds and "Return" in kinds
-    loops = [s.kind for s in fn.body.statements if isinstance(s, Loop)]
-    assert loops == ["for", "while", "dowhile"]
+    # a body is a list of statements and a call statement is its call
+    kinds = [type(s).__name__ for s in fn.body]
+    assert "If" in kinds and "CallExpr" in kinds and "Return" in kinds
+    if_stmt = next(s for s in fn.body if isinstance(s, If))
+    assert type(if_stmt.then_body) is list and type(if_stmt.else_body) is list
+    loops = [s for s in fn.body if isinstance(s, Loop)]
+    assert [loop.kind for loop in loops] == ["for", "while", "dowhile"]
+    # `j++` is read as `j += 1`
+    assert loops[1].body == [Assign(VarExpr("j"), "+=", NumLit(1.0, False))]
 
 
 def test_multi_declarator_stays_flat():
-    program = parse("int main(){int i, j, k; i = 0; j = i; k = j;}")
-    stmts = program.functions[0].body.statements
-    decls = [s for s in stmts if isinstance(s, Decl)]
-    assert [d.name for d in decls] == ["i", "j", "k"]
+    program = parse("int main(){int i, j, k; i = 0; j = i; k = j; { float a, b; }}")
+    body = program.functions[0].body
+    assert [d.name for d in body[:3]] == ["i", "j", "k"]
+    assert all(isinstance(d, Decl) for d in body[:3])
+    # a nested block is a list of its own, flat in the same way
+    assert [d.name for d in body[-1]] == ["a", "b"]
 
 
 def test_parse_determinism():
