@@ -252,6 +252,15 @@ CORPUS = [
         " for(i=0;i<100;i++){ float t; t = a[i]; } return t;}",
         0, True, ELIGIBLE,
         marks=pytest.mark.xfail(strict=True, reason="read count ignores block scope")),
+    # two distinct fixed rows: the read never touches the row the loop writes
+    ("int main(){int i; float m[2][100];"
+     " for(i=0;i<100;i++){ m[0][i] = m[1][i]; }}",
+     0, True, ELIGIBLE),
+    # an unanalyzable first dimension is skipped when the second one already
+    # keeps the iterations apart
+    ("int main(){int i; int k; float m[100][100]; k = 3;"
+     " for(i=0;i<100;i++){ m[k*2][i] = m[k*2+1][i]; }}",
+     0, True, ELIGIBLE),
 ]
 
 

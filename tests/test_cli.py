@@ -545,6 +545,19 @@ def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
         assert error["message"].endswith(": missing key 'run_cmd'")
 
 
+@pytest.mark.parametrize("command,error_type", [("tune", "ModelError"), ("check", "SpawnError")])
+def test_unknown_evaluator_or_oracle_kind_is_evaluator_failure(workdir, capsys, command,
+                                                               error_type):
+    # an --evaluator is sim: or cmd:, an --oracle builtin or cmd:
+    args = (tune_args(workdir, **{"--evaluator": "foo:x"}) if command == "tune"
+            else ["check", "--source", str(workdir / "deep3.c"), "--oracle", "foo"])
+    assert main(args) == EXIT_EVALUATOR_FAILURE
+    error = error_of(capsys)
+    assert (error["type"], error["exit_code"]) == (error_type, EXIT_EVALUATOR_FAILURE)
+    assert "foo" in error["message"]
+    assert not (workdir / "report.json").exists()
+
+
 LONG_INT = "1" + "0" * 5000     # past Python's 4,300-digit limit for int()
 GOOD_INPUTS = {"source": "siblings3.c", "profile": "siblings3_profile.json",
                "model": "siblings3_model.json"}

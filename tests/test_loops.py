@@ -146,11 +146,12 @@ def test_array_call_argument_marked_set_and_ref():
 def test_index_normalization():
     _, _, accesses = analyze(
         "int main(){int i; int a[10];"
-        " for(i=1;i<9;i++){ a[i] = a[i-1] + a[i+1] + a[0]; }}")
+        " for(i=1;i<8;i++){ a[i] = a[i-1] + a[i+1] + a[0] + a[2 + i]; }}")
     refs = [a.indices for a in accesses
             if a.var == "a" and a.kind == REF and a.loop_path]
     assert (("i", -1),) in refs
     assert (("i", 1),) in refs
+    assert (("i", 2),) in refs
     assert ((None, 0),) in refs
     sets = [a.indices for a in accesses if a.var == "a" and a.kind == SET]
     assert sets == [(("i", 0),)]
