@@ -368,11 +368,14 @@ def test_tune_with_command_evaluator(workdir):
 def interrupt_tune(tmp_path, directory, stem, evaluator, started, *extra):
     """Run a `tune` subprocess, send it SIGINT once `started()` holds, and
     check that it ends within 2 s with exit 130, one JSON error line on
-    stderr and no output file."""
+    stderr and no output file.  A tune still running after 2 s gets SIGABRT,
+    on which faulthandler writes every thread's traceback to the stderr
+    that the failure shows."""
     args = ["tune", "--source", str(directory / f"{stem}.c"),
             "--profile", str(directory / f"{stem}_profile.json"), "--evaluator", evaluator,
             *extra, "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
-    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src")}
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src"),
+           "PYTHONFAULTHANDLER": "1"}
     with subprocess.Popen([sys.executable, "-m", "acctuner", *args], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
         try:
@@ -382,7 +385,12 @@ def interrupt_tune(tmp_path, directory, stem, evaluator, started, *extra):
             assert started(), "the search did not start"
             assert proc.poll() is None, "the tune ended before the interrupt"
             proc.send_signal(signal.SIGINT)
-            _, stderr = proc.communicate(timeout=2)
+            try:
+                _, stderr = proc.communicate(timeout=2)
+            except subprocess.TimeoutExpired:
+                proc.send_signal(signal.SIGABRT)
+                _, stderr = proc.communicate(timeout=10)
+                pytest.fail(f"the tune ran on 2 s after SIGINT; its stderr:\n{stderr}")
         finally:
             proc.kill()
             proc.wait()
