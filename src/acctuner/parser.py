@@ -334,7 +334,10 @@ class _Parser:
         elif tok.text == "{":
             block.append(self.parse_block())
         elif tok.kind == "ident":
-            block.append(self.parse_simple_stmt())
+            # a call statement, which is its CallExpr, or an assignment
+            call = self.peek(1).text == "("
+            block.append(self.parse_primary() if call else self.parse_assign())
+            self.expect(";")
         else:
             self.error(f"expected a statement, found {tok.text!r}", tok)
 
@@ -348,12 +351,6 @@ class _Parser:
                 self.error("array initializers are not supported", name)
             init = self.parse_expr()
         return Decl(name.text, dims, init)
-
-    def parse_simple_stmt(self):
-        """A call statement, which is its CallExpr, or an assignment."""
-        stmt = self.parse_primary() if self.peek(1).text == "(" else self.parse_assign()
-        self.expect(";")
-        return stmt
 
     def parse_assign(self) -> Assign:
         """An assignment, with `i++` and `i--` read as `i += 1` and `i -= 1`.

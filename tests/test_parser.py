@@ -2,7 +2,7 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import ParseError
-from acctuner.nodes import Assign, CallExpr, Decl, If, Loop, NumLit, VarExpr
+from acctuner.nodes import Assign, Decl, If, Loop, NumLit, VarExpr
 from acctuner.parser import parse, tokenize
 
 
