@@ -2,7 +2,8 @@
 
 The loop tree is a list with one LoopNode per for/while/do-while statement,
 `tree[k]` for loop k, numbered in textual pre-order so genome positions stay
-stable across runs; each node records its ancestors, nearest first, so that
+stable across runs.  The node is the statement in its enclosing body, with
+its header and body; it also records its ancestors, nearest first, so that
 its parent is `ancestors[0]`, and its run of accesses.
 Each access classifies one identifier occurrence as define/set/ref together
 with its enclosing-loop chain; those records drive both the
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .nodes import Assign, BinaryExpr, Loop, NumLit, Program, SourcePos, VarExpr
+from .nodes import Assign, BinaryExpr, NumLit, Program, SourcePos, VarExpr
 
 DEFINE = "define"
 SET = "set"
@@ -32,6 +33,11 @@ class LoopNode:
     header_pos: SourcePos
     counter: str | None         # loop variable; set only for a canonical loop
     early_exit: bool = False    # its body holds a return
+    # the statement; only a for loop has an init and a step, or may lack a cond
+    init: Assign | None = None
+    cond: object | None = None
+    step: Assign | None = None
+    body: list = field(default_factory=list)
     # left out of the repr and of equality: the slice of the access list that
     # holds every access inside the loop
     access_start: int = field(default=0, repr=False, compare=False)
@@ -70,8 +76,8 @@ def extract_accesses(program: Program) -> list[VarAccess]:
 
 # -- what the parser reads off AST nodes --
 
-def _canonical_counter(loop: Loop) -> str | None:
-    """The counter of a canonical counted loop, else None.
+def _canonical_counter(loop: LoopNode) -> str | None:
+    """The counter of a canonical counted loop, read off its header, else None.
 
     Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i += c` with
     c a positive integer literal, which covers `i++` since the parser reads

@@ -1,12 +1,12 @@
 """AST node types for the C-like subset language.
 
-A node holds what a later pass reads.  No node carries a position: the
-parser gives each access and each loop's LoopNode the (line, col) of its
-token (loops.py), and no pass reads one off the AST.  There are no wrapper
-nodes: a block, and a loop, if or function body, is a plain list of
-statements, in which a nested braced block is a list of its own; a call
-statement is its CallExpr; `i++` and `i--` are read as the Assigns
-`i += 1` and `i -= 1`.  All three loop kinds are one `Loop`.
+A node holds what a later pass reads.  A loop statement of any kind is its
+LoopNode in the loop tree (loops.py), which also holds the (line, col) of
+its keyword; no node here carries a position, since the parser gives each
+access its token's.  There are no wrapper nodes: a block, and a loop, if or
+function body, is a plain list of statements, in which a nested braced
+block is a list of its own; a call statement is its CallExpr; `i++` and
+`i--` are read as the Assigns `i += 1` and `i -= 1`.
 """
 
 from __future__ import annotations
@@ -82,16 +82,6 @@ class If:
     cond: object
     then_body: list
     else_body: list | None
-
-
-@dataclass
-class Loop:
-    kind: str                       # 'for' | 'while' | 'dowhile'
-    init: Assign | None             # None unless a for loop has one
-    cond: object | None
-    step: Assign | None             # None unless a for loop has one
-    body: list
-    loop_id: int
 
 
 @dataclass

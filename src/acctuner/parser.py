@@ -26,11 +26,11 @@ cap keeps every recursive pass over the tree far from Python's stack limit.
 
 Tokens, and the loops and accesses recorded from them, carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
-counts as one column.  No AST node carries one (nodes.py).
+counts as one column.  Of the AST, only a loop statement has one (nodes.py).
 
 The one pass over the tokens also records, on the Program, the loop tree and
 every variable access (their types are in loops.py), so no later pass walks
-the AST again.  A loop's LoopNode is numbered when its keyword is read,
+the AST again.  A loop statement is its LoopNode, numbered at its keyword,
 before the loops in its body; its ancestors are the open loops, nearest
 first, and a `return` marks every open loop as left early.  Accesses follow
 the source, one per identifier occurrence and two (at one position) for a
@@ -63,7 +63,6 @@ from .nodes import (
     Function,
     If,
     IndexExpr,
-    Loop,
     NumLit,
     Program,
     Return,
@@ -417,48 +416,43 @@ class _Parser:
         self.depth -= 1
         return body
 
-    def parse_loop(self) -> Loop:
-        """A for, while or do-while loop, numbered before the loops in its body."""
+    def parse_loop(self) -> LoopNode:
+        """A for, while or do-while loop, the LoopNode it appends to the tree,
+        numbered before the loops in its body.  A do-while's body comes first."""
         start = self.advance()
-        loop_id = len(self.loop_nodes)
+        kind = "dowhile" if start.text == "do" else start.text
         outer = self.loop_path
-        node = LoopNode(loop_id, "dowhile" if start.text == "do" else start.text, outer[::-1],
-                        self.function, start.pos, None, access_start=len(self.accesses))
-        self.loop_nodes.append(node)
-        self.loop_path = outer + (loop_id,)
-        init = step = None
-        if start.text == "do":
-            body = self.parse_body()
+        loop = LoopNode(len(self.loop_nodes), kind, outer[::-1], self.function, start.pos,
+                        None, access_start=len(self.accesses))
+        self.loop_nodes.append(loop)
+        self.loop_path = outer + (loop.loop_id,)
+        if kind == "dowhile":
+            loop.body = self.parse_body()
             self.expect("while")
-            self.expect("(")
-            self.header_of = loop_id
-            cond = self.parse_expr()
-            self.header_of = None
-            self.expect(")")
+        self.expect("(")
+        self.header_of = loop.loop_id
+        if kind == "for":
+            if not self.at(";"):
+                incdec = self.peek(1).text in ("++", "--")
+                loop.init = self.parse_assign()
+                if incdec:      # parsed first, so that its own errors come first
+                    self.error("for-loop initializer must be an assignment", start)
+            self.expect(";")
+            loop.cond = None if self.at(";") else self.parse_expr()
+            self.expect(";")
+            if not self.at(")"):
+                loop.step = self.parse_assign()
+        else:
+            loop.cond = self.parse_expr()
+        self.expect(")")
+        self.header_of = None
+        if kind == "dowhile":
             self.expect(";")
         else:
-            self.expect("(")
-            self.header_of = loop_id
-            if start.text == "while":
-                cond = self.parse_expr()
-            else:
-                if not self.at(";"):
-                    incdec = self.peek(1).text in ("++", "--")
-                    init = self.parse_assign()
-                    if incdec:      # parsed first, so that its own errors come first
-                        self.error("for-loop initializer must be an assignment", start)
-                self.expect(";")
-                cond = None if self.at(";") else self.parse_expr()
-                self.expect(";")
-                if not self.at(")"):
-                    step = self.parse_assign()
-            self.expect(")")
-            self.header_of = None
-            body = self.parse_body()
+            loop.body = self.parse_body()
         self.loop_path = outer
-        node.access_stop = len(self.accesses)
-        loop = Loop(node.kind, init, cond, step, body, loop_id)
-        node.counter = _canonical_counter(loop)
+        loop.access_stop = len(self.accesses)
+        loop.counter = _canonical_counter(loop)
         return loop
 
     def parse_return(self) -> Return:
@@ -550,9 +544,9 @@ class _Parser:
 def parse(text: str, path: str = "<source>") -> Program:
     """Parse source text into a Program.
 
-    Loop statements are numbered 0..n-1 in textual (pre-order) appearance;
-    the Program also carries their LoopNodes and every VarAccess (module
-    docstring).  Empty input yields a Program with zero functions.  Any construct outside
+    Loop statements, each its LoopNode, are numbered 0..n-1 in textual
+    (pre-order) appearance; the Program also lists them and every VarAccess
+    (module docstring).  Empty input yields a Program with zero functions.  Any construct outside
     the subset grammar raises ParseError at the offending token.
     """
     return _Parser(text, path).parse_program()

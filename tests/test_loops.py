@@ -2,10 +2,12 @@ import re
 
 import pytest
 
-from acctuner.loops import DEFINE, REF, SET
+from acctuner.loops import DEFINE, REF, SET, LoopNode
+from acctuner.nodes import If
+from acctuner.parser import parse
 
 from conftest import FIXTURES, analyze, bench_module, gen_large_record
-from test_golden import EDGE_SOURCES
+from test_golden import EDGE_SOURCES, frontend_sources
 
 
 def accesses_of(accesses, var):
@@ -59,6 +61,31 @@ def test_preorder_matches_textual_order():
     positions = [(n.header_pos.line, n.header_pos.col) for n in tree]
     assert positions == sorted(positions)
     assert [n.loop_id for n in tree] == [0, 1, 2, 3]
+
+
+def loop_statements(body: list):
+    """The loop statements of a body in pre-order, walking into loop, if and
+    else bodies and nested blocks."""
+    for stmt in body:
+        if type(stmt) is list:
+            yield from loop_statements(stmt)
+        elif isinstance(stmt, If):
+            yield from loop_statements(stmt.then_body)
+            yield from loop_statements(stmt.else_body or [])
+        elif isinstance(stmt, LoopNode):
+            yield stmt
+            yield from loop_statements(stmt.body)
+
+
+FRONTEND_SOURCES = frontend_sources()
+
+
+@pytest.mark.parametrize("name", sorted(FRONTEND_SOURCES))
+def test_each_loop_statement_is_its_tree_entry(name):
+    program = parse(FRONTEND_SOURCES[name])
+    found = [loop for fn in program.functions for loop in loop_statements(fn.body)]
+    assert len(found) == len(program.loop_nodes)
+    assert all(a is b for a, b in zip(found, program.loop_nodes))
 
 
 def test_canonical_flags():

@@ -2,7 +2,8 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import ParseError
-from acctuner.nodes import Assign, Decl, If, Loop, NumLit, VarExpr
+from acctuner.loops import LoopNode
+from acctuner.nodes import Assign, Decl, If, NumLit, VarExpr
 from acctuner.parser import parse, tokenize
 
 
@@ -212,7 +213,8 @@ def test_statement_variety_roundtrip():
     assert "If" in kinds and "CallExpr" in kinds and "Return" in kinds
     if_stmt = next(s for s in fn.body if isinstance(s, If))
     assert type(if_stmt.then_body) is list and type(if_stmt.else_body) is list
-    loops = [s for s in fn.body if isinstance(s, Loop)]
+    # a loop statement is its LoopNode
+    loops = [s for s in fn.body if isinstance(s, LoopNode)]
     assert [loop.kind for loop in loops] == ["for", "while", "dowhile"]
     # `j++` is read as `j += 1`
     assert loops[1].body == [Assign(VarExpr("j"), "+=", NumLit(1.0, False))]
