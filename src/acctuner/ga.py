@@ -22,6 +22,7 @@ import bisect
 import itertools
 import math
 import random
+import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -58,9 +59,12 @@ class GAConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        # NaN fails every comparison, so the bounds reject it too
-        if not (0 < self.penalty_seconds < math.inf and 0 < self.timeout_seconds < math.inf):
-            raise ValueError("timeout and penalty must be positive and finite")
+        # NaN fails every comparison, so the bounds reject it too; a command's
+        # wait (shell.run_shell) cannot hold a timeout past threading.TIMEOUT_MAX
+        if not (0 < self.penalty_seconds < math.inf
+                and 0 < self.timeout_seconds <= threading.TIMEOUT_MAX):
+            raise ValueError("penalty must be positive and finite, and timeout positive"
+                             f" and at most {threading.TIMEOUT_MAX:g} seconds")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
 
@@ -160,8 +164,14 @@ def _evaluate_all(pool, evaluate, genomes: list[str]) -> dict[str, Measurement]:
     waits for them, and a command may run for its whole timeout."""
     futures = [pool.submit(evaluate, bits) for bits in genomes]
     try:
-        # one wake-up: one per trial would take the GIL from a worker each time
-        wait(futures, return_when=FIRST_EXCEPTION)
+        # Wait in 0.1 s slices: on a loaded host a SIGINT was seen not to wake
+        # one untimed wait until the trials ended.  A wake-up per trial
+        # instead would take the GIL from a worker each time.
+        pending = futures
+        while pending:
+            done, pending = wait(pending, timeout=0.1, return_when=FIRST_EXCEPTION)
+            if any(future.exception() is not None for future in done):
+                break
         return {bits: future.result() for bits, future in zip(genomes, futures)}
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)

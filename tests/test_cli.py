@@ -627,7 +627,8 @@ def test_tune_infinite_simulated_time_is_evaluator_failure(workdir, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--pop", "1"), ("--workers", "0"),
-                                        ("--penalty", "nan"), ("--timeout", "inf")])
+                                        ("--penalty", "nan"), ("--timeout", "inf"),
+                                        ("--timeout", "1e10")])
 def test_tune_bad_ga_option_is_usage_error(workdir, capsys, flag, value):
     code = main(tune_args(workdir, **{flag: value}))
     assert code == 2

@@ -425,3 +425,6 @@ def test_gaconfig_validation():
             GAConfig(timeout_seconds=bad)
         with pytest.raises(ValueError):
             GAConfig(penalty_seconds=bad)
+    # past threading.TIMEOUT_MAX, a command's wait would overflow
+    with pytest.raises(ValueError):
+        GAConfig(timeout_seconds=1e10)
