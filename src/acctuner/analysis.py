@@ -126,15 +126,15 @@ def _pair_disjoint(write: VarAccess, other: VarAccess, counter: str) -> bool:
     return False
 
 
-def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
-                     read_counts: Counter[tuple[str, str]]) -> ParallelizabilityVerdict:
-    """Verdict of one loop from the accesses that lie inside it and the
-    number of reads of each (function, variable) pair."""
+def _builtin_reason(loop: LoopNode, inside: list[VarAccess],
+                    read_counts: Counter[tuple[str, str]]) -> str:
+    """The reason one loop is eligible (ELIGIBLE) or not, from the accesses
+    inside it and the number of reads of each (function, variable) pair."""
     counter = loop.counter
     if counter is None:
-        return ParallelizabilityVerdict(loop.loop_id, False, NOT_CANONICAL_FOR)
+        return NOT_CANONICAL_FOR
     if loop.early_exit:
-        return ParallelizabilityVerdict(loop.loop_id, False, EARLY_EXIT)
+        return EARLY_EXIT
 
     by_var: dict[str, list[VarAccess]] = {}
     for a in inside:
@@ -151,8 +151,7 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
         for w in writes:
             for other in writes + reads:
                 if not _pair_disjoint(w, other, counter):
-                    return ParallelizabilityVerdict(
-                        loop.loop_id, False, LOOP_CARRIED_DEPENDENCE)
+                    return LOOP_CARRIED_DEPENDENCE
 
     # scalars written inside: a read of a body-written scalar inside the loop
     # means a value crosses iterations, and a read outside the loop sees
@@ -172,16 +171,12 @@ def _builtin_verdict(loop: LoopNode, inside: list[VarAccess],
         if all(a.header_of is not None for a in writes):
             if var == counter:
                 if any(a.header_of != loop.loop_id for a in writes):
-                    return ParallelizabilityVerdict(
-                        loop.loop_id, False, LOOP_CARRIED_DEPENDENCE)
+                    return LOOP_CARRIED_DEPENDENCE
                 continue
         elif n_reads:
-            return ParallelizabilityVerdict(loop.loop_id, False, SCALAR_REDUCTION)
+            return SCALAR_REDUCTION
         live_out = live_out or read_counts[loop.function, var] > n_reads
-    if live_out:
-        return ParallelizabilityVerdict(loop.loop_id, False, LIVE_OUT_SCALAR)
-
-    return ParallelizabilityVerdict(loop.loop_id, True, ELIGIBLE)
+    return LIVE_OUT_SCALAR if live_out else ELIGIBLE
 
 
 def check_all_parallelizable(tree: list[LoopNode],
@@ -189,8 +184,11 @@ def check_all_parallelizable(tree: list[LoopNode],
     """Eligibility of every loop by the built-in rules, ordered by loop_id.
     The accesses are the parse's list, which each loop's run indexes."""
     read_counts = Counter((a.function, a.var) for a in accesses if a.kind == REF)
-    return [_builtin_verdict(node, accesses[node.access_start:node.access_stop], read_counts)
-            for node in tree]
+    verdicts = []
+    for node in tree:
+        reason = _builtin_reason(node, accesses[node.access_start:node.access_stop], read_counts)
+        verdicts.append(ParallelizabilityVerdict(node.loop_id, reason == ELIGIBLE, reason))
+    return verdicts
 
 
 @dataclass(frozen=True)

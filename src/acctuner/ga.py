@@ -18,7 +18,6 @@ no randomness, so results do not depend on evaluation parallelism.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import random
@@ -116,22 +115,14 @@ def init_population(size: int, gene_length: int, rng: random.Random) -> list[str
             for _ in range(size)]
 
 
-def select_next_parents(evaluated: list[EvaluatedIndividual],
+def select_next_parents(evaluated: list[EvaluatedIndividual], elite: int,
                         rng: random.Random) -> list[str]:
-    """Slot 0 holds a verbatim copy of the best individual (ties break to
-    the lower index); the remaining slots are fitness-proportional draws
-    with replacement."""
-    best_index = max(range(len(evaluated)), key=lambda i: (evaluated[i].fitness, -i))
-    weights = [ind.fitness for ind in evaluated]
-    total = sum(weights)
-    cumulative = list(itertools.accumulate(weights))
-
-    parents = [evaluated[best_index].genome]
-    for _ in range(len(evaluated) - 1):
-        # the first slot whose running total exceeds the draw, the last at most
-        index = bisect.bisect_right(cumulative, rng.random() * total)
-        parents.append(evaluated[min(index, len(evaluated) - 1)].genome)
-    return parents
+    """Slot 0 holds a verbatim copy of evaluated[elite]; the remaining slots
+    are fitness-proportional draws with replacement, one rng.random() each,
+    scaled by the running total's last entry (random.choices)."""
+    genomes = [ind.genome for ind in evaluated]
+    cumulative = list(itertools.accumulate(ind.fitness for ind in evaluated))
+    return [genomes[elite], *rng.choices(genomes, cum_weights=cumulative, k=len(genomes) - 1)]
 
 
 def one_point_crossover(parent1: str, parent2: str, crossover_rate: float,
@@ -244,6 +235,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
                 if key < best_key:
                     best, best_key = individual, key
 
+            # the fittest, the lower index among equals, is also the next elite
             gen_best = max(range(size), key=lambda i: (evaluated[i].fitness, -i))
             history.append(GenerationStats(
                 gen=generation,
@@ -257,7 +249,7 @@ def run_ga(config: GAConfig, genome_map: GenomeMap, tree: list[LoopNode],
             if generation == config.generations:
                 break
 
-            parents = select_next_parents(evaluated, rng)
+            parents = select_next_parents(evaluated, gen_best, rng)
             offspring = [parents[0]]  # the elite skips crossover and mutation
             for index in range(1, size, 2):
                 pair = (one_point_crossover(parents[index], parents[index + 1],

@@ -140,9 +140,8 @@ def probe_parallelizable(config: CommandEvaluatorConfig, program,
     for node in tree:
         with trial_file(kernels_only_annotation(program, tree, node.loop_id),
                         config.workdir) as src:
-            status = command_evaluate(config, src).status
-        verdicts.append(ParallelizabilityVerdict(
-            node.loop_id, status == MEASURED, _PROBE_REASONS[status]))
+            reason = _PROBE_REASONS[command_evaluate(config, src).status]
+        verdicts.append(ParallelizabilityVerdict(node.loop_id, reason == ELIGIBLE, reason))
     return verdicts
 
 

@@ -139,7 +139,7 @@ def plan_transfers(program: Program, tree: list[LoopNode], accesses: list[VarAcc
             var_inside = [a for a in inside if a.var == var]
             var_cpu = [a for a in cpu_side if a.var == var]
             need_in = (any(a.kind == REF for a in var_inside)
-                       and any(a.kind in (SET, DEFINE) for a in var_cpu))
+                       and any(a.kind in _COPYIN_BLOCKERS for a in var_cpu))
             # copyout's blockers include copyin's, so its hoist target is
             # never above copyin's: a copy for both directions lands there
             if var_cpu and any(a.kind == SET for a in var_inside):

@@ -112,7 +112,7 @@ def test_roulette_probabilities_proportional():
     rng = random.Random(123)
     draws = 30_000
     for _ in range(draws):
-        parents = select_next_parents(evaluated, rng)
+        parents = select_next_parents(evaluated, elite=0, rng=rng)
         for genome in parents[1:]:
             counts[genome] += 1
     total = sum(counts.values())
@@ -126,17 +126,11 @@ def test_roulette_uniform_when_equal():
     counts = {ind.genome: 0 for ind in evaluated}
     rng = random.Random(5)
     for _ in range(20_000):
-        for genome in select_next_parents(evaluated, rng)[1:]:
+        for genome in select_next_parents(evaluated, elite=0, rng=rng)[1:]:
             counts[genome] += 1
     total = sum(counts.values())
     for genome in counts:
         assert counts[genome] / total == pytest.approx(0.25, abs=0.02)
-
-
-def test_elite_slot_is_argmax_with_low_index_ties():
-    evaluated = individuals([0.2, 0.9, 0.9, 0.1])
-    parents = select_next_parents(evaluated, random.Random(0))
-    assert parents[0] == "001"   # index 1 beats the tied index 2
 
 
 # ---- crossover ----
@@ -334,6 +328,22 @@ def test_run_ga_all_invalid_trials_report_an_invalid_best():
     assert result.cache_hits > 0
     assert result.best.status == "invalid"
     assert result.best.seconds == config.penalty_seconds
+
+
+def test_run_ga_elite_is_argmax_with_low_index_ties(monkeypatch):
+    # two distinct genomes of generation 1, neither at index 0, tie for the
+    # best time; generation 2 opens with the one at the lower index
+    config = GAConfig(population=6, generations=2, rng_seed=3)
+    first = init_population(6, 6, random.Random(3))
+    tied = [bits for bits in dict.fromkeys(first[1:]) if bits != first[0]][:2]
+    assert len(tied) == 2
+
+    def evaluate(bits):
+        return Measurement(1.0 if bits in tied else 2.0, "measured")
+
+    _, scored = recorded_search(monkeypatch, config, 6, evaluate)
+    assert [ind.genome for ind in scored[:6]] == first
+    assert scored[6].genome == tied[0]
 
 
 @pytest.mark.parametrize("seed", range(50))
