@@ -3,8 +3,9 @@
 The built-in parallelizability oracle is deliberately conservative: a loop
 is eligible only when it is a canonical counted for-loop without a return,
 no cross-iteration conflict can be constructed from its array index
-patterns, scalar write/read pairs or a nested header that resets its
-counter, and no other scalar written inside it is read outside it.  A false
+patterns (a function's array parameters of one rank may be one array),
+scalar write/read pairs or a nested header that resets its counter, and no
+other scalar written inside it is read outside it.  A false
 "no" costs performance; a false "yes" would produce wrong code.  The compile
 probe (pipeline.probe_parallelizable) asks a real compiler instead.
 """
@@ -129,16 +130,19 @@ def _pair_disjoint(write: VarAccess, other: VarAccess, counter: str) -> bool:
 def _builtin_reason(loop: LoopNode, inside: list[VarAccess],
                     read_counts: Counter[tuple[str, str]]) -> str:
     """The reason one loop is eligible (ELIGIBLE) or not, from the accesses
-    inside it and the number of reads of each (function, variable) pair."""
+    inside it and the number of reads of each (function, variable) pair.
+    The array parameters of one rank count as one array."""
     counter = loop.counter
     if counter is None:
         return NOT_CANONICAL_FOR
     if loop.early_exit:
         return EARLY_EXIT
 
+    # array parameters of one rank may all name one array, as in f(a, a), so
+    # their accesses are filed as one, under a name that no variable has
     by_var: dict[str, list[VarAccess]] = {}
     for a in inside:
-        by_var.setdefault(a.var, []).append(a)
+        by_var.setdefault("[]" * a.param_rank or a.var, []).append(a)
 
     # arrays: any write/read or write/write pair that may alias across
     # iterations (including a write against itself) is a carried dependence

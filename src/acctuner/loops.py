@@ -57,6 +57,9 @@ class VarAccess:
     function: str
     header_of: int | None = None    # loop whose header contains this access
     indices: tuple | None = None    # per-dimension (var|None, offset), or None
+    # left out of the repr and of equality: the rank of the array parameter
+    # that the name resolves to, 0 for any other name
+    param_rank: int = field(default=0, repr=False, compare=False)
 
 
 def build_loop_tree(program: Program) -> list[LoopNode]:

@@ -42,8 +42,9 @@ compound operator's ref, ahead of the target's subscript reads.  A
 declarator's define, as an array if `[` follows the name, goes ahead of its
 dims and initializer; a parameter's dims record nothing.  Each block, braced
 or a lone loop or if body, opens a scope, and a name's access is an array's
-when its innermost declaration is.  No record moves out of its statement, so
-a loop's accesses are the run of the list that it adds, from its keyword to
+when its innermost declaration is; when that is an array parameter, the
+access also records its rank.  No record moves out of its statement, so a
+loop's accesses are the run of the list that it adds, from its keyword to
 the end of its body or do-while condition.
 """
 
@@ -114,6 +115,7 @@ _TOKEN_RE = re.compile(r"""
 
 
 _tuple_new = tuple.__new__     # a NamedTuple from one tuple, without its __new__
+_UNDECLARED = (False, 0)
 
 
 class Token(NamedTuple):
@@ -171,7 +173,8 @@ class _Parser:
         self.loop_nodes: list[LoopNode] = []
         self.accesses: list[VarAccess] = []
         self.function = ""                          # the function being parsed
-        self.scopes: list[dict[str, bool]] = []     # name -> is_array, innermost last
+        # name -> (is_array, rank if an array parameter else 0), innermost last
+        self.scopes: list[dict[str, tuple[bool, int]]] = []
         self.loop_path: tuple[int, ...] = ()        # open loops, outermost first
         self.header_of: int | None = None           # loop whose header is being read
 
@@ -224,21 +227,22 @@ class _Parser:
 
     # -- loop and access records --
 
-    def is_array(self, name: str) -> bool:
-        """Whether the innermost declaration of name is an array; False if undeclared."""
+    def declared(self, name: str) -> tuple[bool, int]:
+        """(is_array, param_rank) of the innermost declaration of name:
+        param_rank is an array parameter's rank, else 0; (False, 0) if undeclared."""
         for names in reversed(self.scopes):
             if name in names:
                 return names[name]
-        return False
+        return _UNDECLARED
 
     def access(self, name: str, kind: str, pos: SourcePos, is_array: bool,
-               indices: tuple | None = None) -> VarAccess:
+               param_rank: int = 0, indices: tuple | None = None) -> VarAccess:
         return VarAccess(name, is_array, kind, pos, self.loop_path, self.function,
-                         self.header_of, indices)
+                         self.header_of, indices, param_rank)
 
-    def declare(self, name: Token, is_array: bool):
-        self.scopes[-1][name.text] = is_array
-        self.accesses.append(self.access(name.text, DEFINE, name.pos, is_array))
+    def declare(self, name: Token, is_array: bool, param_rank: int = 0):
+        self.scopes[-1][name.text] = (is_array, param_rank)
+        self.accesses.append(self.access(name.text, DEFINE, name.pos, is_array, param_rank))
 
     # -- grammar --
 
@@ -279,10 +283,10 @@ class _Parser:
     def parse_param(self) -> Decl:
         self.expect_type("parameter type")
         name = self.expect_ident()
-        self.declare(name, self.at("["))
         recorded = len(self.accesses)
         dims = self.parse_dims(allow_empty=True)
         del self.accesses[recorded:]    # a parameter's dims record nothing
+        self.declare(name, bool(dims), len(dims))
         return Decl(name.text, dims, None)
 
     def parse_dims(self, allow_empty: bool) -> tuple:
@@ -362,7 +366,7 @@ class _Parser:
             target = self.parse_index(name)     # records its ref in the slot
         else:
             target = VarExpr(name.text)
-            accesses.append(self.access(name.text, REF, name.pos, self.is_array(name.text)))
+            accesses.append(self.access(name.text, REF, name.pos, *self.declared(name.text)))
         ref = accesses[slot]
         op_tok = self.advance()
         op = op_tok.text
@@ -371,7 +375,7 @@ class _Parser:
             op = op[0] + "="
         elif op not in ASSIGN_OPS:
             self.error(f"expected an assignment operator, found {op!r}", op_tok)
-        set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.indices)
+        set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.param_rank, ref.indices)
         accesses[slot:slot + 1] = (set_,) if op == "=" else (set_, ref)
         return Assign(target, op, NumLit(1.0, False) if incdec else self.parse_expr())
 
@@ -388,7 +392,7 @@ class _Parser:
             self.depth -= 1
         if len(indices) > 2:
             self.error("arrays of more than two dimensions are not supported", name)
-        accesses[slot] = self.access(name.text, REF, name.pos, True,
+        accesses[slot] = self.access(name.text, REF, name.pos, True, self.declared(name.text)[1],
                                      tuple(_normalize_index(ix) for ix in indices))
         return IndexExpr(name.text, tuple(indices))
 
@@ -510,7 +514,7 @@ class _Parser:
                     return CallExpr(text, tuple(args))
                 if after == "[":
                     return self.parse_index(tok)
-                self.accesses.append(self.access(text, REF, tok.pos, self.is_array(text)))
+                self.accesses.append(self.access(text, REF, tok.pos, *self.declared(text)))
                 return VarExpr(text)
         elif kind == "num":
             self.i += 1
@@ -536,8 +540,9 @@ class _Parser:
         inside the callee, so its ref, the last access a bare name records,
         is followed by a set at its position, with unknown element indices."""
         arg = self.parse_expr()
-        if type(arg) is VarExpr and self.is_array(arg.name):
-            self.accesses.append(self.access(arg.name, SET, self.accesses[-1].pos, True))
+        if type(arg) is VarExpr and self.accesses[-1].is_array:
+            ref = self.accesses[-1]
+            self.accesses.append(self.access(arg.name, SET, ref.pos, True, ref.param_rank))
         return arg
 
 

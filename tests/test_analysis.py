@@ -63,9 +63,11 @@ def test_profile_negative_count(tmp_path):
         load_profile(path, one_loop_tree())
 
 
-def test_profile_malformed_record(tmp_path):
+@pytest.mark.parametrize("payload", ['{"loops":[{"id":0,"entry_count":1}]}',
+                                     "[1,2]", '{"loops":[3]}'])
+def test_profile_malformed_record(tmp_path, payload):
     path = tmp_path / "p.json"
-    path.write_text('{"loops":[{"id":0,"entry_count":1}]}')
+    path.write_text(payload)
     with pytest.raises(ProfileError):
         load_profile(path, one_loop_tree())
 
@@ -261,6 +263,17 @@ CORPUS = [
     ("int main(){int i; int k; float m[100][100]; k = 3;"
      " for(i=0;i<100;i++){ m[k*2][i] = m[k*2+1][i]; }}",
      0, True, ELIGIBLE),
+    # two array parameters of one rank may be one array: same index is safe
+    ("int f(float p[], float q[]){int i;"
+     " for(i=0;i<100;i++){ p[i] = q[i] + 1.0; } return 0;}"
+     " int main(){float a[100]; f(a, a); return 0;}",
+     0, True, ELIGIBLE),
+    # ... but called as f(a, a), the loop is a[i] = a[i + 1] + 1.0
+    ("int f(float p[], float q[]){int i;"
+     " for(i=0;i<99;i++){ p[i] = q[i + 1] + 1.0; } return 0;}"
+     " int main(){float a[100]; int k; for(k=0;k<100;k++){ a[k] = k; }"
+     " f(a, a); return 0;}",
+     0, False, LOOP_CARRIED_DEPENDENCE),
 ]
 
 
@@ -273,9 +286,15 @@ def test_builtin_oracle_corpus(text, loop_index, eligible, reason):
     assert verdict.reason == reason
 
 
-def test_verdict_eligible_iff_reason():
-    _, tree, accesses = analyze(TWO_LOOPS)
-    for verdict in check_all_parallelizable(tree, accesses):
+@pytest.mark.parametrize("oracle", ["builtin", "probe"])
+def test_verdict_eligible_iff_reason(tmp_path, oracle):
+    if oracle == "builtin":
+        verdicts = check_all_parallelizable(*analyze(TWO_LOOPS)[1:])
+    else:
+        # the compile fails only for loop 0, whose trial starts a line with it
+        verdicts = probe(TWO_LOOPS, "! grep -q '^for(i' '{src}'", workdir=str(tmp_path))
+        assert [v.eligible for v in verdicts] == [False, True]
+    for verdict in verdicts:
         assert verdict.eligible == (verdict.reason == ELIGIBLE)
 
 
