@@ -67,6 +67,10 @@ def load_cost_model(path: str | Path) -> CostModel:
         per_kib = float(data["transfer_us_per_kib"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"cost model {path}: malformed entry: {exc!r}") from exc
+    # int() also reads "1_0", " 2" and "01", so two keys could price one loop
+    for key in data["loops"]:
+        if str(int(key)) != key:
+            raise ModelError(f"cost model {path}: loop key {key!r} is not a loop id in decimal")
     # NaN fails every comparison, so each bound below also rejects it
     for key, cost in loops.items():
         if not (0 <= cost.cpu_us_per_iter < math.inf and 0 <= cost.kernel_launch_us < math.inf):

@@ -249,9 +249,14 @@ def test_tune_missing_cost_model_no_partial_report(workdir, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "ModelError"
 
 
+LOOP_COST = {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0}
+
+
 @pytest.mark.parametrize("entry,value", [
     (("loops",), []), (("vars",), []), (("transfer_fixed_us",), float("nan")),
-    (("loops", "0", "cpu_us_per_iter"), float("inf"))])
+    (("loops", "0", "cpu_us_per_iter"), float("inf")),
+    # loop keys are loop ids in decimal: "1_0" is not loop 10, "01" not loop 1
+    (("loops", "1_0"), LOOP_COST), (("loops", "01"), LOOP_COST)])
 def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     model = json.loads((workdir / "siblings3_model.json").read_text())
     record = model
@@ -521,7 +526,8 @@ def error_of(capsys) -> dict:
 
 @pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}',
                                     '{"compile_cmd": "true", "workdir": "absent"}',
-                                    '{"compile_cmd": "${CC} -c {src}"}'])
+                                    '{"compile_cmd": "${CC} -c {src}"}',
+                                    '{"compile_cmd": "cp {src"}'])
 def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "oracle.json"
     if config is not None:

@@ -134,6 +134,9 @@ def test_load_cost_model_roundtrip(tmp_path):
     '{"loops": {"0": {"cpu_us_per_iter": Infinity, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
     '{"loops": {"0": {"cpu_us_per_iter": 1, "gpu_speedup": NaN, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
     "not json",
+    '{"loops": {"1_0": {"cpu_us_per_iter": 1, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {" 2": {"cpu_us_per_iter": 1, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
+    '{"loops": {"1": {"cpu_us_per_iter": 1, "gpu_speedup": 1, "kernel_launch_us": 0}, "01": {"cpu_us_per_iter": 2, "gpu_speedup": 1, "kernel_launch_us": 0}}, "vars": {}, "transfer_fixed_us": 0, "transfer_us_per_kib": 0}',
 ])
 def test_load_cost_model_rejects_malformed(tmp_path, payload):
     path = tmp_path / "model.json"
@@ -230,6 +233,19 @@ def test_command_templates_receive_paths(tmp_path):
     m = command_evaluate(config, src)
     assert m.status == "measured"
     assert (tmp_path / "t.bin").exists()
+
+
+def test_command_workdir_removed_after_load_is_spawn_error(tmp_path):
+    # the config checks its workdir once, when it is built
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    config = CommandEvaluatorConfig("true", "true", timeout_seconds=5.0,
+                                    workdir=str(workdir))
+    workdir.rmdir()
+    src = tmp_path / "t.c"
+    src.write_text("int main(){}")
+    with pytest.raises(SpawnError, match="cannot spawn compile command"):
+        command_evaluate(config, src)
 
 
 def test_trials_of_one_genome_get_distinct_sources(tmp_path):
