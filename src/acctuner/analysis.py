@@ -5,9 +5,9 @@ is eligible only when it is a canonical counted for-loop without a return,
 no cross-iteration conflict can be constructed from its array index
 patterns (a function's array parameters of one rank may be one array),
 scalar write/read pairs or a nested header that resets its counter, and no
-other scalar written inside it is read outside it.  A false
-"no" costs performance; a false "yes" would produce wrong code.  The compile
-probe (pipeline.probe_parallelizable) asks a real compiler instead.
+other scalar written inside it is read outside it.  A false "no" costs
+performance; a false "yes" would produce wrong code.  The compile probe
+(pipeline.probe_parallelizable) asks a real compiler instead.
 """
 
 from __future__ import annotations

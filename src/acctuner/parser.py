@@ -115,7 +115,6 @@ _TOKEN_RE = re.compile(r"""
 
 
 _tuple_new = tuple.__new__     # a NamedTuple from one tuple, without its __new__
-_UNDECLARED = (False, 0)
 
 
 class Token(NamedTuple):
@@ -233,7 +232,7 @@ class _Parser:
         for names in reversed(self.scopes):
             if name in names:
                 return names[name]
-        return _UNDECLARED
+        return False, 0
 
     def access(self, name: str, kind: str, pos: SourcePos, is_array: bool,
                param_rank: int = 0, indices: tuple | None = None) -> VarAccess:
