@@ -18,8 +18,8 @@ tree = at.build_loop_tree(program)
 accesses = at.extract_accesses(program)
 profile = at.load_profile(FIXTURES / "mix10_profile.json", tree)
 genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
-model = at.load_cost_model(FIXTURES / "mix10_model.json")
-evaluate = at.make_sim_evaluator(model, program, tree, accesses, genome_map, profile)
+evaluate = at.build_evaluator(f"sim:{FIXTURES / 'mix10_model.json'}", program, tree,
+                              accesses, genome_map, profile)
 
 baseline = evaluate("0" * len(genome_map)).seconds
 print(f"gene length a = {len(genome_map)}; all-CPU baseline = {baseline:.4f}s\n")

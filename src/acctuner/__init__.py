@@ -7,8 +7,8 @@ A deterministic simulated evaluator makes the whole search testable
 without a GPU.
 
 The top level exports the analysis, planning and search calls that the
-demos use; everything else is imported from its submodule
-(acctuner.pipeline, acctuner.evaluation, ...).
+demos use, build_evaluator among them; everything else is imported from
+its submodule (acctuner.pipeline, acctuner.evaluation, ...).
 """
 
 from .analysis import (
@@ -25,7 +25,7 @@ from .evaluation import CostModel, load_cost_model, simulate_time
 from .ga import GAConfig, init_population, run_ga
 from .loops import build_loop_tree, extract_accesses
 from .parser import parse
-from .pipeline import make_sim_evaluator
+from .pipeline import build_evaluator
 from .transfer import check_genome_valid, plan_transfers
 
 __version__ = "0.1.0"

@@ -13,10 +13,11 @@ performance; a false "yes" would produce wrong code.  The compile probe
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import EmptyGenome, ProfileError, _read_input
+from .errors import AutotunerError, ProfileError, _read_input
 from .loops import REF, SET, LoopNode, VarAccess
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
@@ -69,14 +70,19 @@ def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
         if loop_id in entries:
             raise ProfileError(f"profile {path}: duplicate record for loop {loop_id}")
         entries[loop_id] = ProfileEntry(entry_count, total)
-
-    missing = [n.loop_id for n in tree if n.loop_id not in entries]
-    if missing:
-        raise ProfileError(f"profile {path}: missing loop ids {missing}")
-    unknown = sorted(set(entries).difference(n.loop_id for n in tree))
-    if unknown:
-        raise ProfileError(f"profile {path}: loop ids {unknown} are not in the program")
+    check_loop_ids(entries, tree, f"profile {path}", ProfileError)
     return entries
+
+
+def check_loop_ids(ids: Collection[int], tree: list[LoopNode], what: str,
+                   error: type[AutotunerError]) -> None:
+    """Raise error, its message led by what, unless ids name each loop of the tree and no other."""
+    missing = [n.loop_id for n in tree if n.loop_id not in ids]
+    if missing:
+        raise error(f"{what}: missing loop ids {missing}")
+    unknown = sorted(set(ids).difference(n.loop_id for n in tree))
+    if unknown:
+        raise error(f"{what}: loop ids {unknown} are not in the program")
 
 
 @dataclass(frozen=True)
@@ -205,7 +211,6 @@ class GenomeMap:
 
 
 def build_genome_map(verdicts: list[ParallelizabilityVerdict]) -> GenomeMap:
-    eligible = tuple(sorted(v.loop_id for v in verdicts if v.eligible))
-    if not eligible:
-        raise EmptyGenome("no offloadable loops")
-    return GenomeMap(eligible)
+    """The eligible loops' ids, ascending; the map is empty (and false) when
+    no loop is eligible, and each caller decides what that ends."""
+    return GenomeMap(tuple(sorted(v.loop_id for v in verdicts if v.eligible)))

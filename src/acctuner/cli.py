@@ -28,7 +28,7 @@ from .analysis import (
     load_profile,
 )
 from .emitter import emit_annotated
-from .errors import AutotunerError, Interrupted, SpawnError, UsageError
+from .errors import AutotunerError, EmptyGenome, Interrupted, SpawnError, UsageError
 from .evaluation import load_command_config
 from .ga import GAConfig
 from .pipeline import (
@@ -168,19 +168,20 @@ def _cmd_check(args) -> int:
     else:
         raise SpawnError(
             f"--oracle must be 'builtin' or cmd:<config.json>, got {args.oracle!r}")
-    eligible = sorted(v.loop_id for v in verdicts if v.eligible)
+    genome_map = build_genome_map(verdicts)
     _emit_json({
         "verdicts": [asdict(v) for v in verdicts],
-        "genome_map": eligible,
-        "gene_length": len(eligible),
+        "genome_map": list(genome_map.loop_ids),
+        "gene_length": len(genome_map),
     }, args.out)
     return EXIT_OK
 
 
 def _genome_context(source: str):
     program, tree, accesses = load_program(source)
-    verdicts = check_all_parallelizable(tree, accesses)
-    genome_map = build_genome_map(verdicts)
+    genome_map = build_genome_map(check_all_parallelizable(tree, accesses))
+    if not genome_map:
+        raise EmptyGenome("no offloadable loops")
     return program, tree, accesses, genome_map
 
 

@@ -100,27 +100,22 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     CPU loops cost iterations x per-iteration weight; each selected region
     runs its whole subtree cost divided by its speedup plus one kernel
     launch per region entry; each planned directive pays its transfer cost
-    once per execution.
+    once per execution.  The model covers the loop tree, which
+    pipeline.build_evaluator checks once, before the search.
     """
     region_of = regions(genome_bits, genome_map, tree)
-
-    def loop_cost(loop_id: int) -> LoopCost:
-        if loop_id not in model.loops:
-            raise ModelError(f"cost model has no entry for loop {loop_id}")
-        return model.loops[loop_id]
-
     total_us = 0.0
     # region -> its subtree's work; each enters at its own loop, so keys ascend
     region_work: dict[int, float] = {}
     for node, region in zip(tree, region_of):
-        work = profile[node.loop_id].total_iterations * loop_cost(node.loop_id).cpu_us_per_iter
+        work = profile[node.loop_id].total_iterations * model.loops[node.loop_id].cpu_us_per_iter
         if region is None:
             total_us += work
         else:
             region_work[region] = region_work.get(region, 0.0) + work
 
     for region, work in region_work.items():
-        cost = loop_cost(region)
+        cost = model.loops[region]
         total_us += work / cost.gpu_speedup
         total_us += profile[region].entry_count * cost.kernel_launch_us
 

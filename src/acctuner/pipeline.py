@@ -22,6 +22,7 @@ from .analysis import (
     Profile,
     build_genome_map,
     check_all_parallelizable,
+    check_loop_ids,
     gate,
     load_profile,
 )
@@ -33,7 +34,6 @@ from .evaluation import (
     MEASURED,
     TIMEOUT,
     CommandEvaluatorConfig,
-    CostModel,
     Measurement,
     command_evaluate,
     load_command_config,
@@ -44,7 +44,8 @@ from .evaluation import (
 from .ga import FITNESS_EXPONENT, GAConfig, run_ga
 from .loops import LoopNode, build_loop_tree, extract_accesses
 from .parser import parse
-from .transfer import plan_transfers
+from .shell import DEFAULT_TIMEOUT_SECONDS
+from .transfer import TransferPlan, plan_transfers
 
 EXIT_OK = 0
 EXIT_GATE_REJECT = 12
@@ -105,30 +106,14 @@ def load_program(path: str):
     return program, build_loop_tree(program), extract_accesses(program)
 
 
-def make_sim_evaluator(model: CostModel, program, tree: list[LoopNode], accesses,
-                       genome_map: GenomeMap, profile: Profile):
-    """Evaluator closure: plan transfers for the genome, then price it with
-    the cost model."""
-    def evaluate(bits: str) -> Measurement:
-        plan = plan_transfers(program, tree, accesses, bits, genome_map)
-        return simulate_time(model, bits, genome_map, tree, profile, plan)
-    return evaluate
-
-
-def make_cmd_evaluator(config: CommandEvaluatorConfig, program, tree: list[LoopNode],
-                       accesses, genome_map: GenomeMap):
-    """Evaluator closure: write the annotated source for the genome to a
-    trial file, compile and run it, then remove the trial files."""
-    def evaluate(bits: str) -> Measurement:
-        plan = plan_transfers(program, tree, accesses, bits, genome_map)
-        annotated = emit_annotated(program, tree, bits, genome_map, plan)
-        with trial_file(annotated.text, config.workdir) as src:
-            return command_evaluate(config, src)
-    return evaluate
-
-
 _PROBE_REASONS = {MEASURED: ELIGIBLE, INVALID: EXTERNAL_COMPILE_ERROR,
                   TIMEOUT: EXTERNAL_COMPILE_TIMEOUT}
+
+
+def _trial(config: CommandEvaluatorConfig, text: str) -> Measurement:
+    """Run the config's commands on text in a trial file, then remove it."""
+    with trial_file(text, config.workdir) as src:
+        return command_evaluate(config, src)
 
 
 def probe_parallelizable(config: CommandEvaluatorConfig, program,
@@ -138,23 +123,36 @@ def probe_parallelizable(config: CommandEvaluatorConfig, program,
     compile means eligible; a failed or timed-out one means not."""
     verdicts = []
     for node in tree:
-        with trial_file(kernels_only_annotation(program, tree, node.loop_id),
-                        config.workdir) as src:
-            reason = _PROBE_REASONS[command_evaluate(config, src).status]
+        text = kernels_only_annotation(program, tree, node.loop_id)
+        reason = _PROBE_REASONS[_trial(config, text).status]
         verdicts.append(ParallelizabilityVerdict(node.loop_id, reason == ELIGIBLE, reason))
     return verdicts
 
 
 def build_evaluator(spec: str, program, tree: list[LoopNode], accesses,
-                    genome_map: GenomeMap, profile: Profile, ga: GAConfig):
-    """Resolve an evaluator spec string into an evaluate(bits) callable."""
+                    genome_map: GenomeMap, profile: Profile,
+                    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS):
+    """Resolve an evaluator spec into an evaluate(bits) that plans the
+    genome's transfers, then prices the plan: `sim:<model.json>` with a cost
+    model that names each loop of the tree and no other (checked here), or
+    `cmd:<config.json>` by a trial of the annotated source under the timeout."""
     if spec.startswith("sim:"):
         model = load_cost_model(spec[4:])
-        return make_sim_evaluator(model, program, tree, accesses, genome_map, profile)
-    if spec.startswith("cmd:"):
-        config = load_command_config(spec[4:], ga.timeout_seconds)
-        return make_cmd_evaluator(config, program, tree, accesses, genome_map)
-    raise ModelError(f"evaluator spec {spec!r} must start with 'sim:' or 'cmd:'")
+        check_loop_ids(model.loops, tree, f"cost model {spec[4:]}", ModelError)
+
+        def price(bits: str, plan: TransferPlan) -> Measurement:
+            return simulate_time(model, bits, genome_map, tree, profile, plan)
+    elif spec.startswith("cmd:"):
+        config = load_command_config(spec[4:], timeout_seconds)
+
+        def price(bits: str, plan: TransferPlan) -> Measurement:
+            return _trial(config, emit_annotated(program, tree, bits, genome_map, plan).text)
+    else:
+        raise ModelError(f"evaluator spec {spec!r} must start with 'sim:' or 'cmd:'")
+
+    def evaluate(bits: str) -> Measurement:
+        return price(bits, plan_transfers(program, tree, accesses, bits, genome_map))
+    return evaluate
 
 
 def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
@@ -170,13 +168,12 @@ def _run_stages(cfg: PipelineConfig, report: dict) -> tuple[int, str]:
 
     verdicts = check_all_parallelizable(tree, accesses)
     report["verdicts"] = [asdict(v) for v in verdicts]
-    try:
-        genome_map = build_genome_map(verdicts)
-    except EmptyGenome:
+    genome_map = build_genome_map(verdicts)
+    if not genome_map:
         return EXIT_NO_OFFLOADABLE_LOOPS, "no-offloadable-loops"
 
     evaluate = build_evaluator(cfg.evaluator, program, tree, accesses,
-                               genome_map, profile, cfg.ga)
+                               genome_map, profile, cfg.ga.timeout_seconds)
     result = run_ga(cfg.ga, genome_map, tree, evaluate)
     report["config"]["effective_population"] = result.effective_population
     report["genome_map"] = list(genome_map.loop_ids)

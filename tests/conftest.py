@@ -26,11 +26,11 @@ class LoadedFixture:
     accesses: list
     profile: at.Profile
     genome_map: at.GenomeMap
-    model: at.CostModel
+    model_path: Path
 
     def evaluator(self):
-        return at.make_sim_evaluator(self.model, self.program, self.tree,
-                                     self.accesses, self.genome_map, self.profile)
+        return at.build_evaluator(f"sim:{self.model_path}", self.program, self.tree,
+                                  self.accesses, self.genome_map, self.profile)
 
 
 def load_fixture(name: str, directory: str = "tune") -> LoadedFixture:
@@ -42,9 +42,8 @@ def load_fixture(name: str, directory: str = "tune") -> LoadedFixture:
     profile = at.load_profile(base / f"{name}_profile.json", tree)
     verdicts = at.check_all_parallelizable(tree, accesses)
     genome_map = at.build_genome_map(verdicts)
-    model = at.load_cost_model(base / f"{name}_model.json")
     return LoadedFixture(name, source, program, tree, accesses, profile,
-                         genome_map, model)
+                         genome_map, base / f"{name}_model.json")
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from acctuner.analysis import (
     gate,
     load_profile,
 )
-from acctuner.errors import EmptyGenome, ProfileError
+from acctuner.errors import ProfileError
 from acctuner.evaluation import CommandEvaluatorConfig
 from acctuner.pipeline import probe_parallelizable
 
@@ -312,8 +312,8 @@ def test_genome_map_ascending_subset():
 
 
 def test_genome_map_empty():
-    with pytest.raises(EmptyGenome):
-        build_genome_map(make_verdicts([False, False]))
+    gm = build_genome_map(make_verdicts([False, False]))
+    assert gm == at.GenomeMap(()) and not gm
 
 
 def test_genome_map_gene_length_75_of_171():

@@ -256,7 +256,9 @@ LOOP_COST = {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0
     (("loops",), []), (("vars",), []), (("transfer_fixed_us",), float("nan")),
     (("loops", "0", "cpu_us_per_iter"), float("inf")),
     # loop keys are loop ids in decimal: "1_0" is not loop 10, "01" not loop 1
-    (("loops", "1_0"), LOOP_COST), (("loops", "01"), LOOP_COST)])
+    (("loops", "1_0"), LOOP_COST), (("loops", "01"), LOOP_COST),
+    # and name only loops of the program, as a profile's ids do
+    (("loops", "99"), LOOP_COST), (("loops", "-1"), LOOP_COST)])
 def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     model = json.loads((workdir / "siblings3_model.json").read_text())
     record = model
@@ -270,6 +272,19 @@ def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     error = error_of(capsys)
     assert error["type"] == "ModelError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert not (workdir / "report.json").exists()
+
+
+def test_tune_cost_model_missing_a_loop_fails_before_the_search(workdir, capsys, monkeypatch):
+    model = json.loads((workdir / "siblings3_model.json").read_text())
+    del model["loops"]["2"]
+    path = workdir / "bad_model.json"
+    path.write_text(json.dumps(model))
+    monkeypatch.setattr(pipeline, "run_ga", None)    # the search must not start
+    code = main(tune_args(workdir, **{"--evaluator": f"sim:{path}"}))
+    assert code == EXIT_EVALUATOR_FAILURE
+    assert error_of(capsys) == {"type": "ModelError", "exit_code": EXIT_EVALUATOR_FAILURE,
+                                "message": f"cost model {path}: missing loop ids [2]"}
     assert not (workdir / "report.json").exists()
 
 
@@ -370,32 +385,36 @@ def test_tune_with_command_evaluator(workdir):
     assert not list(workdir.glob("trial_*"))
 
 
-def interrupt_tune(tmp_path, directory, stem, evaluator, started, *extra):
-    """Run a `tune` subprocess, send it SIGINT once `started()` holds, and
-    check that it ends within 2 s with exit 130, one JSON error line on
-    stderr and no output file.  A tune still running after 2 s gets SIGABRT,
-    on which faulthandler writes every thread's traceback to the stderr
-    that the failure shows."""
-    args = ["tune", "--source", str(directory / f"{stem}.c"),
+def fixture_tune(tmp_path, directory, stem, evaluator, *extra) -> list[str]:
+    """The argv of a `tune` of a fixture, its outputs under tmp_path."""
+    return ["tune", "--source", str(directory / f"{stem}.c"),
             "--profile", str(directory / f"{stem}_profile.json"), "--evaluator", evaluator,
             *extra, "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
+
+
+def interrupt_run(argv, started):
+    """Run acctuner with argv in a subprocess, send it SIGINT once
+    `started()` holds, and check that it ends within 2 s with exit 130, one
+    JSON error line on stderr and none of its --out and --report files.  A
+    run still going after 2 s gets SIGABRT, on which faulthandler writes
+    every thread's traceback to the stderr that the failure shows."""
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src"),
            "PYTHONFAULTHANDLER": "1"}
-    with subprocess.Popen([sys.executable, "-m", "acctuner", *args], env=env,
+    with subprocess.Popen([sys.executable, "-m", "acctuner", *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
         try:
             deadline = time.monotonic() + 30
             while not started() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert started(), "the search did not start"
-            assert proc.poll() is None, "the tune ended before the interrupt"
+            assert started(), "the run did not start"
+            assert proc.poll() is None, "the run ended before the interrupt"
             proc.send_signal(signal.SIGINT)
             try:
                 _, stderr = proc.communicate(timeout=2)
             except subprocess.TimeoutExpired:
                 proc.send_signal(signal.SIGABRT)
                 _, stderr = proc.communicate(timeout=10)
-                pytest.fail(f"the tune ran on 2 s after SIGINT; its stderr:\n{stderr}")
+                pytest.fail(f"the run went on 2 s after SIGINT; its stderr:\n{stderr}")
         finally:
             proc.kill()
             proc.wait()
@@ -405,30 +424,51 @@ def interrupt_tune(tmp_path, directory, stem, evaluator, started, *extra):
     assert len(lines) == 1, stderr
     assert json.loads(lines[0]) == {"error": {
         "type": "Interrupted", "message": "interrupted", "exit_code": 130}}
-    assert not (tmp_path / "out.c").exists() and not (tmp_path / "report.json").exists()
+    outputs = [argv[k + 1] for k, token in enumerate(argv) if token in ("--out", "--report")]
+    assert outputs and not any(os.path.exists(path) for path in outputs)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_interrupt_stops_the_running_trials(tmp_path, workers):
-    # each run step marks its start, then would mark a late finish
+def slow_step_config(tmp_path, step: str) -> str:
+    """A cmd: config whose given step marks its start, then would mark a
+    late finish, and whose other step succeeds at once."""
     config = tmp_path / "cmd.json"
     config.write_text(json.dumps({
-        "compile_cmd": "true", "workdir": str(tmp_path),
-        "run_cmd": "touch '{bin}.started'; sleep 3; touch '{bin}.late'"}))
-    interrupt_tune(tmp_path, FIXTURES / "tune", "mix10", f"cmd:{config}",
-                   lambda: bool(list(tmp_path.glob("*.started"))),
-                   "--gens", "2", "--workers", str(workers))
+        "compile_cmd": "true", "run_cmd": "true", "workdir": str(tmp_path),
+        step: "touch '{bin}.started'; sleep 3; touch '{bin}.late'"}))
+    return f"cmd:{config}"
+
+
+def assert_nothing_left_late(tmp_path):
     time.sleep(4)
     assert not list(tmp_path.glob("*.late"))
     assert not list(tmp_path.glob("trial_*.c"))    # the trial sources are removed
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_interrupt_stops_the_running_trials(tmp_path, workers):
+    interrupt_run(fixture_tune(tmp_path, FIXTURES / "tune", "mix10",
+                               slow_step_config(tmp_path, "run_cmd"),
+                               "--gens", "2", "--workers", str(workers)),
+                  lambda: bool(list(tmp_path.glob("*.started"))))
+    assert_nothing_left_late(tmp_path)
+
+
+def test_interrupt_stops_the_compile_probe(tmp_path):
+    # the probe runs on the main thread, not on the search's pool
+    oracle = slow_step_config(tmp_path, "compile_cmd")
+    interrupt_run(["check", "--source", str(FIXTURES / "tune" / "mix10.c"),
+                   "--oracle", oracle, "--out", str(tmp_path / "verdicts.json")],
+                  lambda: bool(list(tmp_path.glob("*.started"))))
+    assert_nothing_left_late(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_interrupt_stops_a_simulated_tune(tmp_path, workers):
     start = time.monotonic()
-    interrupt_tune(tmp_path, FIXTURES / "stress", "stress75",
-                   f"sim:{FIXTURES / 'stress' / 'stress75_model.json'}",
-                   lambda: time.monotonic() - start > 1, "--gens", "200", "--workers", str(workers))
+    interrupt_run(fixture_tune(tmp_path, FIXTURES / "stress", "stress75",
+                               f"sim:{FIXTURES / 'stress' / 'stress75_model.json'}",
+                               "--gens", "200", "--workers", str(workers)),
+                  lambda: time.monotonic() - start > 1)
 
 
 def test_run_pipeline_api_matches_cli(workdir):

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -17,7 +18,7 @@ from acctuner.evaluation import (
 )
 from acctuner.loops import LoopNode
 from acctuner.nodes import SourcePos
-from acctuner.pipeline import make_cmd_evaluator
+from acctuner.pipeline import build_evaluator
 from acctuner.transfer import DataDirective, TransferPlan
 
 from conftest import analyze
@@ -70,11 +71,22 @@ def test_simulate_nested_region_sums_subtree():
     assert m.seconds == pytest.approx(expected_us / 1e6, abs=1e-15)
 
 
-def test_simulate_missing_loop_entry():
-    tree, profile, gm = single_loop_setup()
-    model = CostModel({}, {}, 0.0, 0.0)
-    with pytest.raises(ModelError):
-        simulate_time(model, "0", gm, tree, profile, EMPTY_PLAN)
+ONE_LOOP = "int main(){int i; float a[10]; for(i=0;i<10;i++){ a[i] = 1.0; }}"
+LOOP_COST = {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0}
+
+
+@pytest.mark.parametrize("loops,message", [
+    ({}, "missing loop ids [0]"),
+    ({"0": LOOP_COST, "1": LOOP_COST}, "loop ids [1] are not in the program")])
+def test_sim_evaluator_model_names_each_loop_and_no_other(tmp_path, loops, message):
+    # the model meets the loop tree once, when the evaluator is built
+    program, tree, accesses = analyze(ONE_LOOP)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"loops": loops, "transfer_fixed_us": 0.0,
+                                "transfer_us_per_kib": 0.0}))
+    with pytest.raises(ModelError, match=re.escape(f"cost model {path}: {message}")):
+        build_evaluator(f"sim:{path}", program, tree, accesses, GenomeMap((0,)),
+                        {0: ProfileEntry(1, 10)})
 
 
 def test_simulate_missing_var_entry():
@@ -249,16 +261,19 @@ def test_command_workdir_removed_after_load_is_spawn_error(tmp_path):
 
 
 def test_trials_of_one_genome_get_distinct_sources(tmp_path):
-    program, tree, accesses = analyze("int main(){int i; float a[10];"
-                                      " for(i=0;i<10;i++){ a[i] = 1.0; }}")
+    program, tree, accesses = analyze(ONE_LOOP)
     log = tmp_path / "log"
-    config = CommandEvaluatorConfig(f"echo '{{src}}' >> '{log}'", "true",
-                                    timeout_seconds=5.0, workdir=str(tmp_path))
-    evaluate = make_cmd_evaluator(config, program, tree, accesses, GenomeMap((0,)))
+    trials = tmp_path / "trials"
+    trials.mkdir()
+    config = tmp_path / "cmd.json"
+    config.write_text(json.dumps({"compile_cmd": f"echo '{{src}}' >> '{log}'",
+                                  "run_cmd": "true", "workdir": str(trials)}))
+    evaluate = build_evaluator(f"cmd:{config}", program, tree, accesses, GenomeMap((0,)),
+                               {}, 5.0)
     assert evaluate("1").status == evaluate("1").status == "measured"
     first, second = log.read_text().splitlines()
     assert first != second
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["log"]
+    assert not list(trials.iterdir())
 
 
 def test_trial_in_relative_workdir(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import acctuner as at
-from acctuner.errors import EmptyGenome
 from acctuner.loops import LoopNode
 
 from conftest import FIXTURES, analyze, is_pragma, strip_pragmas
@@ -49,10 +48,7 @@ def test_emit_keeps_every_line_end(path: Path, data):
     if data.draw(st.booleans()):    # drop the final line end
         text = text.removesuffix("\n").removesuffix("\r")
     program, tree, accesses = analyze(text)
-    try:
-        genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
-    except EmptyGenome:
-        genome_map = at.GenomeMap(())
+    genome_map = at.build_genome_map(at.check_all_parallelizable(tree, accesses))
     n = len(genome_map)
 
     def emit(bits: str) -> str:
