@@ -8,7 +8,7 @@ prices an invalid or timed-out trial at the penalty time (`--penalty`), as
 it does a nested genome.
 """
 
-from acctuner.evaluation import CommandEvaluatorConfig, command_evaluate, trial_file
+from acctuner.evaluation import CommandEvaluatorConfig, command_evaluate
 from acctuner.ga import DEFAULT_PENALTY_SECONDS, fitness_from_time
 
 cases = [
@@ -21,13 +21,14 @@ cases = [
                             timeout_seconds=2.0)),
 ]
 
-# a trial source in the system temp directory, removed with its .bin at the end
-with trial_file("int main() { return 0; }\n", None) as src:
-    for label, config in cases:
-        measurement = command_evaluate(config, src)
-        # how run_ga prices the trial
-        priced = (measurement.seconds if measurement.status == "measured"
-                  else DEFAULT_PENALTY_SECONDS)
-        print(f"{label}:")
-        print(f"  status={measurement.status} seconds={measurement.seconds:.6g} "
-              f"priced at {priced:.6g} s, fitness={fitness_from_time(priced):.6g}\n")
+source = "int main() { return 0; }\n"
+for label, config in cases:
+    # each call writes the source to a trial file in the system temp
+    # directory, compiles and runs it, and removes it with its .bin
+    measurement = command_evaluate(config, source)
+    # how run_ga prices the trial
+    priced = (measurement.seconds if measurement.status == "measured"
+              else DEFAULT_PENALTY_SECONDS)
+    print(f"{label}:")
+    print(f"  status={measurement.status} seconds={measurement.seconds:.6g} "
+          f"priced at {priced:.6g} s, fitness={fitness_from_time(priced):.6g}\n")

@@ -1,10 +1,11 @@
 """Genome performance measurement.
 
 Two evaluators sit behind one interface: a deterministic cost-model
-simulator for desk-scale testing, and an external-command evaluator that
-really compiles and runs the annotated source under a wall-clock timeout.
-Each reports a status and the seconds it measured; what a failed trial
-costs the search is the search's own decision (ga.run_ga).
+simulator for desk-scale testing, and an external-command evaluator whose
+one call per trial writes the annotated source, compiles and runs it under
+a wall-clock timeout, and removes it.  Each reports a status and the
+seconds it measured; what a failed trial costs the search is the search's
+own decision (ga.run_ga).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from string import Formatter
@@ -175,51 +175,44 @@ def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEO
         raise SpawnError(f"cannot load command config {path}: {exc}") from exc
 
 
-@contextmanager
-def trial_file(text: str, workdir: str | None):
-    """Write text to a new trial_*.c in workdir (default: the system temp
-    directory) and yield its absolute path; remove it and its .bin on exit."""
-    written: list[Path] = []
-    try:
-        try:
-            fd, name = tempfile.mkstemp(".c", "trial_", os.path.abspath(workdir) if workdir else None)
-            os.close(fd)
-        except OSError as exc:
-            raise SpawnError(f"cannot write a trial source: {exc}") from exc
-        written += [Path(name), Path(name).with_suffix(".bin")]
-        _write_output(name, text, SpawnError)
-        yield written[0]
-    finally:
-        for path in written:
-            path.unlink(missing_ok=True)
+def command_evaluate(config: CommandEvaluatorConfig, text: str) -> Measurement:
+    """Compile and run one annotated source text, timing only the run.
 
-
-def command_evaluate(config: CommandEvaluatorConfig,
-                     annotated_source_path: str | Path) -> Measurement:
-    """Compile and run one annotated source, timing only the run.
-
-    Both templates get the source as {src} and the .bin beside it as {bin}.
-    A failed compile or a nonzero run exit yields Invalid; a compile or a
-    run that exceeds the timeout yields Timeout; both carry the seconds the
-    failing step ran.  Without a run step, a clean compile is measured by
-    its own time.
-    Each command's process group is killed when it ends (run_shell).
-    A shell that cannot be spawned raises SpawnError instead, so
-    infrastructure trouble never looks like a slow genome.
+    The text goes to a new trial_*.c in the config's workdir (default: the
+    system temp directory), removed with its .bin however the trial ends;
+    the templates get the two as {src} and {bin}.  A failed compile or a
+    nonzero run exit yields Invalid; a compile or a run that exceeds the
+    timeout yields Timeout; both carry the seconds the failing step ran.
+    Without a run step, a clean compile is measured by its own time.
+    Each command's process group is killed when it ends (run_shell).  A
+    source that cannot be written or a shell that cannot be spawned raises
+    SpawnError instead, so infrastructure trouble never looks like a slow
+    genome.
     """
-    src = Path(annotated_source_path)
-    for step, template in (("compile", config.compile_cmd), ("run", config.run_cmd)):
-        if template is None:
-            break
-        cmd = template.format(src=src, bin=src.with_suffix(".bin"))
-        try:
-            status, elapsed = run_shell(cmd, config.timeout_seconds, config.workdir)
-        except OSError as exc:
-            raise SpawnError(f"cannot spawn {step} command {cmd!r}: {exc}") from exc
-        if status is None:
-            return Measurement(elapsed, TIMEOUT)
-        if status != 0:
-            return Measurement(elapsed, INVALID)
-        if elapsed > config.timeout_seconds:
-            return Measurement(elapsed, TIMEOUT)
-    return Measurement(elapsed, MEASURED)
+    try:
+        fd, name = tempfile.mkstemp(".c", "trial_",
+                                    os.path.abspath(config.workdir) if config.workdir else None)
+        os.close(fd)
+    except OSError as exc:
+        raise SpawnError(f"cannot write a trial source: {exc}") from exc
+    src = Path(name)
+    try:
+        _write_output(src, text, SpawnError)
+        for step, template in (("compile", config.compile_cmd), ("run", config.run_cmd)):
+            if template is None:
+                break
+            cmd = template.format(src=src, bin=src.with_suffix(".bin"))
+            try:
+                status, elapsed = run_shell(cmd, config.timeout_seconds, config.workdir)
+            except OSError as exc:
+                raise SpawnError(f"cannot spawn {step} command {cmd!r}: {exc}") from exc
+            if status is None:
+                return Measurement(elapsed, TIMEOUT)
+            if status != 0:
+                return Measurement(elapsed, INVALID)
+            if elapsed > config.timeout_seconds:
+                return Measurement(elapsed, TIMEOUT)
+        return Measurement(elapsed, MEASURED)
+    finally:
+        src.unlink(missing_ok=True)
+        src.with_suffix(".bin").unlink(missing_ok=True)

@@ -39,7 +39,6 @@ from .evaluation import (
     load_command_config,
     load_cost_model,
     simulate_time,
-    trial_file,
 )
 from .ga import FITNESS_EXPONENT, GAConfig, run_ga
 from .loops import LoopNode, build_loop_tree, extract_accesses
@@ -110,21 +109,15 @@ _PROBE_REASONS = {MEASURED: ELIGIBLE, INVALID: EXTERNAL_COMPILE_ERROR,
                   TIMEOUT: EXTERNAL_COMPILE_TIMEOUT}
 
 
-def _trial(config: CommandEvaluatorConfig, text: str) -> Measurement:
-    """Run the config's commands on text in a trial file, then remove it."""
-    with trial_file(text, config.workdir) as src:
-        return command_evaluate(config, src)
-
-
 def probe_parallelizable(config: CommandEvaluatorConfig, program,
                          tree: list[LoopNode]) -> list[ParallelizabilityVerdict]:
-    """External oracle, by loop_id: one trial with no run step per loop, its
-    source the input plus one kernels line before that loop.  A clean
+    """External oracle, by loop_id: one command_evaluate with no run step per
+    loop, its text the input plus one kernels line before that loop.  A clean
     compile means eligible; a failed or timed-out one means not."""
     verdicts = []
     for node in tree:
         text = kernels_only_annotation(program, tree, node.loop_id)
-        reason = _PROBE_REASONS[_trial(config, text).status]
+        reason = _PROBE_REASONS[command_evaluate(config, text).status]
         verdicts.append(ParallelizabilityVerdict(node.loop_id, reason == ELIGIBLE, reason))
     return verdicts
 
@@ -146,7 +139,8 @@ def build_evaluator(spec: str, program, tree: list[LoopNode], accesses,
         config = load_command_config(spec[4:], timeout_seconds)
 
         def price(bits: str, plan: TransferPlan) -> Measurement:
-            return _trial(config, emit_annotated(program, tree, bits, genome_map, plan).text)
+            annotated = emit_annotated(program, tree, bits, genome_map, plan)
+            return command_evaluate(config, annotated.text)
     else:
         raise ModelError(f"evaluator spec {spec!r} must start with 'sim:' or 'cmd:'")
 

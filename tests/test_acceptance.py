@@ -311,10 +311,9 @@ def test_criterion_11_invalid_genome_penalty_without_eval():
     assert result.history[0].best_fitness == 1000.0 ** -0.5
 
 
-def test_criterion_12_command_evaluator_contract(tmp_path):
+def test_criterion_12_command_evaluator_contract():
     started = time.time()
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+    src = "int main(){}\n"
 
     # a failed trial carries its status and the seconds its failing step ran
     failing = CommandEvaluatorConfig("false", "true", timeout_seconds=5.0)

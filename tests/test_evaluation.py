@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,6 @@ from acctuner.evaluation import (
     command_evaluate,
     load_cost_model,
     simulate_time,
-    trial_file,
 )
 from acctuner.loops import LoopNode
 from acctuner.nodes import SourcePos
@@ -164,6 +164,9 @@ def test_load_cost_model_missing_file(tmp_path):
 
 # ---- command evaluator (stub shell commands) ----
 
+SOURCE = "int main(){}\n"
+
+
 def assert_failed_step(m, status, timeout_seconds):
     """A failed trial carries its status and the seconds its failing step
     ran; run_ga, not the evaluator, prices it at the penalty."""
@@ -171,37 +174,29 @@ def assert_failed_step(m, status, timeout_seconds):
     assert 0 < m.seconds < timeout_seconds + 1
 
 
-def test_command_failing_compile_is_invalid(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+def test_command_failing_compile_is_invalid():
     config = CommandEvaluatorConfig("false", "true", timeout_seconds=5.0)
-    assert_failed_step(command_evaluate(config, src), "invalid", 5.0)
+    assert_failed_step(command_evaluate(config, SOURCE), "invalid", 5.0)
 
 
-def test_command_over_timeout_run(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+def test_command_over_timeout_run():
     config = CommandEvaluatorConfig("true", "sleep 2", timeout_seconds=1.0)
-    assert_failed_step(command_evaluate(config, src), "timeout", 1.0)
+    assert_failed_step(command_evaluate(config, SOURCE), "timeout", 1.0)
 
 
 def test_command_timeout_kills_children_of_run(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
     marker = tmp_path / "marker"
     config = CommandEvaluatorConfig(
         "true", f"(sleep 1; touch '{marker}') & wait", timeout_seconds=0.2)
-    assert_failed_step(command_evaluate(config, src), "timeout", 0.2)
+    assert_failed_step(command_evaluate(config, SOURCE), "timeout", 0.2)
     time.sleep(1.5)
     assert not marker.exists()
 
 
-def test_command_compile_timeout(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+def test_command_compile_timeout():
     config = CommandEvaluatorConfig("sleep 5", "true", timeout_seconds=0.2)
     start = time.monotonic()
-    m = command_evaluate(config, src)
+    m = command_evaluate(config, SOURCE)
     assert time.monotonic() - start < 1.5
     assert_failed_step(m, "timeout", 0.2)
 
@@ -209,55 +204,55 @@ def test_command_compile_timeout(tmp_path):
 @pytest.mark.parametrize("redirect", ["", " >/dev/null 2>&1"])
 def test_command_run_leaves_no_background_child(tmp_path, redirect):
     # without the redirect the child holds the run's output open
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
     marker = tmp_path / "marker"
     config = CommandEvaluatorConfig(
         "true", f"(sleep 1; touch '{marker}'){redirect} &", timeout_seconds=5.0)
-    m = command_evaluate(config, src)
+    m = command_evaluate(config, SOURCE)
     assert m.status == "measured" and m.seconds < 0.5
     time.sleep(1.5)
     assert not marker.exists()
 
 
-def test_command_noop_run_measured(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+def test_command_noop_run_measured():
     config = CommandEvaluatorConfig("true", "true", timeout_seconds=5.0)
-    m = command_evaluate(config, src)
+    m = command_evaluate(config, SOURCE)
     assert m.status == "measured"
     assert 0 < m.seconds <= 5.0
 
 
-def test_command_nonzero_run_is_invalid(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
+def test_command_nonzero_run_is_invalid():
     config = CommandEvaluatorConfig("true", "exit 3", timeout_seconds=5.0)
-    m = command_evaluate(config, src)
+    m = command_evaluate(config, SOURCE)
     assert m.status == "invalid"
 
 
 def test_command_templates_receive_paths(tmp_path):
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
-    config = CommandEvaluatorConfig(
-        "cp '{src}' '{bin}'", "test -f '{bin}'", timeout_seconds=5.0)
-    m = command_evaluate(config, src)
+    # the run step records the paths it got and what {bin} holds; the
+    # trial removes both files when it ends
+    seen = tmp_path / "seen"
+    run = f"echo '{{src}}' '{{bin}}' > '{seen}'; cat '{{bin}}' >> '{seen}'"
+    config = CommandEvaluatorConfig("cp '{src}' '{bin}'", run, timeout_seconds=5.0,
+                                    workdir=str(tmp_path))
+    m = command_evaluate(config, SOURCE)
     assert m.status == "measured"
-    assert (tmp_path / "t.bin").exists()
+    paths, text = seen.read_text().split("\n", 1)
+    src, bin_ = map(Path, paths.split(" "))
+    assert src.parent == tmp_path and src.name.startswith("trial_") and src.suffix == ".c"
+    assert bin_ == src.with_suffix(".bin")
+    assert text == SOURCE
+    assert not src.exists() and not bin_.exists()
 
 
-def test_command_workdir_removed_after_load_is_spawn_error(tmp_path):
-    # the config checks its workdir once, when it is built
+def test_unwritable_trial_source_is_spawn_error(tmp_path):
+    # the config checks its workdir once, when it is built, so one removed
+    # since is where a trial source cannot be written
     workdir = tmp_path / "work"
     workdir.mkdir()
     config = CommandEvaluatorConfig("true", "true", timeout_seconds=5.0,
                                     workdir=str(workdir))
     workdir.rmdir()
-    src = tmp_path / "t.c"
-    src.write_text("int main(){}")
-    with pytest.raises(SpawnError, match="cannot spawn compile command"):
-        command_evaluate(config, src)
+    with pytest.raises(SpawnError, match="cannot write a trial source"):
+        command_evaluate(config, SOURCE)
 
 
 def test_trials_of_one_genome_get_distinct_sources(tmp_path):
@@ -282,11 +277,5 @@ def test_trial_in_relative_workdir(tmp_path, monkeypatch):
     (tmp_path / "trials").mkdir()
     config = CommandEvaluatorConfig("test -f '{src}'", "true", timeout_seconds=5.0,
                                     workdir="trials")
-    with trial_file("int main(){}", config.workdir) as src:
-        assert command_evaluate(config, src).status == "measured"
-
-
-def test_unwritable_trial_file_is_spawn_error(tmp_path):
-    with pytest.raises(SpawnError):
-        with trial_file("int main(){}", str(tmp_path / "absent")):
-            pass
+    assert command_evaluate(config, SOURCE).status == "measured"
+    assert not list((tmp_path / "trials").iterdir())
