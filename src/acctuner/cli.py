@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+import threading
 from dataclasses import asdict
 
 from .analysis import (
@@ -238,6 +240,12 @@ def _fail(exc: AutotunerError) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
+    # SIGTERM (kill, timeout) stops a run as SIGINT does; only the main
+    # thread may set a handler, and a caller's own handler stays
+    term = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+    if term:
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         return _COMMANDS[args.command](args)
     except KeyboardInterrupt:
@@ -245,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(Interrupted("interrupted"))
     except AutotunerError as exc:
         return _fail(exc)
+    finally:
+        if term:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 if __name__ == "__main__":

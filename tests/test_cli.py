@@ -392,29 +392,38 @@ def fixture_tune(tmp_path, directory, stem, evaluator, *extra) -> list[str]:
             *extra, "--out", str(tmp_path / "out.c"), "--report", str(tmp_path / "report.json")]
 
 
-def interrupt_run(argv, started):
-    """Run acctuner with argv in a subprocess, send it SIGINT once
+def interrupt_run(argv, started, signum=signal.SIGINT):
+    """Run acctuner with argv in a subprocess, send it signum once
     `started()` holds, and check that it ends within 2 s with exit 130, one
     JSON error line on stderr and none of its --out and --report files.  A
     run still going after 2 s gets SIGABRT, on which faulthandler writes
     every thread's traceback to the stderr that the failure shows."""
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent.parent / "src"),
            "PYTHONFAULTHANDLER": "1"}
-    with subprocess.Popen([sys.executable, "-m", "acctuner", *argv], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+    # A shell starts a background job with SIGINT ignored, a child inherits
+    # that, and Python raises KeyboardInterrupt only for a SIGINT left at its
+    # default.  A caught signal resets to its default across exec, so the
+    # child starts with SIGINT at its default however pytest was started.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen([sys.executable, "-m", "acctuner", *argv], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    with proc:
         try:
             deadline = time.monotonic() + 30
             while not started() and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert started(), "the run did not start"
             assert proc.poll() is None, "the run ended before the interrupt"
-            proc.send_signal(signal.SIGINT)
+            proc.send_signal(signum)
             try:
                 _, stderr = proc.communicate(timeout=2)
             except subprocess.TimeoutExpired:
                 proc.send_signal(signal.SIGABRT)
                 _, stderr = proc.communicate(timeout=10)
-                pytest.fail(f"the run went on 2 s after SIGINT; its stderr:\n{stderr}")
+                pytest.fail(f"the run went on 2 s after {signum.name}; its stderr:\n{stderr}")
         finally:
             proc.kill()
             proc.wait()
@@ -450,6 +459,16 @@ def test_interrupt_stops_the_running_trials(tmp_path, workers):
                                slow_step_config(tmp_path, "run_cmd"),
                                "--gens", "2", "--workers", str(workers)),
                   lambda: bool(list(tmp_path.glob("*.started"))))
+    assert_nothing_left_late(tmp_path)
+
+
+def test_sigterm_interrupts_the_running_trials(tmp_path):
+    # kill, timeout(1) and CI cancellation send SIGTERM; once both trials
+    # run, it must stop them, their process groups and their sources too
+    interrupt_run(fixture_tune(tmp_path, FIXTURES / "tune", "mix10",
+                               slow_step_config(tmp_path, "run_cmd"),
+                               "--gens", "2", "--workers", "2"),
+                  lambda: len(list(tmp_path.glob("*.started"))) == 2, signal.SIGTERM)
     assert_nothing_left_late(tmp_path)
 
 
