@@ -453,22 +453,17 @@ def assert_nothing_left_late(tmp_path):
     assert not list(tmp_path.glob("trial_*.c"))    # the trial sources are removed
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_interrupt_stops_the_running_trials(tmp_path, workers):
+# kill, timeout(1) and CI cancellation send SIGTERM, which stops a run as SIGINT does
+@pytest.mark.parametrize("workers, signum", [
+    pytest.param(1, signal.SIGINT, id="1"),
+    pytest.param(2, signal.SIGINT, id="2"),
+    pytest.param(2, signal.SIGTERM, id="2-SIGTERM"),
+])
+def test_interrupt_stops_the_running_trials(tmp_path, workers, signum):
     interrupt_run(fixture_tune(tmp_path, FIXTURES / "tune", "mix10",
                                slow_step_config(tmp_path, "run_cmd"),
                                "--gens", "2", "--workers", str(workers)),
-                  lambda: bool(list(tmp_path.glob("*.started"))))
-    assert_nothing_left_late(tmp_path)
-
-
-def test_sigterm_interrupts_the_running_trials(tmp_path):
-    # kill, timeout(1) and CI cancellation send SIGTERM; once both trials
-    # run, it must stop them, their process groups and their sources too
-    interrupt_run(fixture_tune(tmp_path, FIXTURES / "tune", "mix10",
-                               slow_step_config(tmp_path, "run_cmd"),
-                               "--gens", "2", "--workers", "2"),
-                  lambda: len(list(tmp_path.glob("*.started"))) == 2, signal.SIGTERM)
+                  lambda: len(list(tmp_path.glob("*.started"))) == workers, signum)
     assert_nothing_left_late(tmp_path)
 
 
