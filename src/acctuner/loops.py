@@ -8,16 +8,16 @@ its parent is `ancestors[0]`, and its run of accesses.
 Each access classifies one identifier occurrence as define/set/ref together
 with its enclosing-loop chain; those records drive both the
 parallelizability checks and the data-transfer planner.  The parser records
-both as it reads the source (parser.py says in what order), so
-`build_loop_tree` and `extract_accesses` only hand them out, and the two
-helpers at the end read AST nodes for the parser.
+both as it reads the source (parser.py says in what order, and how it
+finds a loop's counter and reduces an index), so `build_loop_tree` and
+`extract_accesses` only hand them out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .nodes import Assign, BinaryExpr, NumLit, Program, SourcePos, VarExpr
+from .nodes import Assign, Program, SourcePos
 
 DEFINE = "define"
 SET = "set"
@@ -75,48 +75,3 @@ def extract_accesses(program: Program) -> list[VarAccess]:
     Whole arrays passed to calls are conservatively marked ref and set.
     """
     return program.accesses
-
-
-# -- what the parser reads off AST nodes --
-
-def _canonical_counter(loop: LoopNode) -> str | None:
-    """The counter of a canonical counted loop, read off its header, else None.
-
-    Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i += c` with
-    c a positive integer literal, which covers `i++` since the parser reads
-    it as `i += 1`.  A while or do-while loop has no init, so it is never
-    canonical.
-    """
-    init, cond, step = loop.init, loop.cond, loop.step
-    if not (isinstance(init, Assign) and init.op == "=" and isinstance(init.target, VarExpr)):
-        return None
-    name = init.target.name
-    if not (isinstance(cond, BinaryExpr) and cond.op in ("<", "<=")
-            and isinstance(cond.left, VarExpr) and cond.left.name == name):
-        return None
-    if (isinstance(step, Assign) and step.op == "+=" and isinstance(step.target, VarExpr)
-            and step.target.name == name and isinstance(step.value, NumLit)
-            and not step.value.is_float and step.value.value > 0):
-        return name
-    return None
-
-
-def _normalize_index(expr) -> tuple | None:
-    """Reduce an index expression to (var, offset) where possible.
-
-    `i` -> (i, 0); `i + 2` / `2 + i` -> (i, 2); `i - 1` -> (i, -1);
-    integer literal c -> (None, c); anything else -> None (unanalyzable).
-    """
-    if isinstance(expr, VarExpr):
-        return (expr.name, 0)
-    if isinstance(expr, NumLit) and not expr.is_float:
-        return (None, int(expr.value))
-    if isinstance(expr, BinaryExpr) and expr.op in ("+", "-"):
-        left, right = expr.left, expr.right
-        if isinstance(left, VarExpr) and isinstance(right, NumLit) and not right.is_float:
-            off = int(right.value)
-            return (left.name, off if expr.op == "+" else -off)
-        if (expr.op == "+" and isinstance(left, NumLit) and not left.is_float
-                and isinstance(right, VarExpr)):
-            return (right.name, int(left.value))
-    return None

@@ -6,7 +6,9 @@ its keyword; no node here carries a position, since the parser gives each
 access its token's.  There are no wrapper nodes: a block, and a loop, if or
 function body, is a plain list of statements, in which a nested braced
 block is a list of its own; a call statement is its CallExpr; `i++` and
-`i--` are read as the Assigns `i += 1` and `i -= 1`.
+`i--` are read as the Assigns `i += 1` and `i -= 1`.  In an expression, a
+variable is its name, a str, and a numeric literal is its value: a float if
+its token holds '.', 'e' or 'E', else the int that C reads (parser.py).
 """
 
 from __future__ import annotations
@@ -22,19 +24,9 @@ class SourcePos(NamedTuple):
 
 
 # ---- expressions ----
-# Slotted and not frozen, so that the parser builds them cheaply; like the
-# statements below, nothing assigns to their fields after the parse.
-
-@dataclass(slots=True, unsafe_hash=True)
-class NumLit:
-    value: float
-    is_float: bool
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class VarExpr:
-    name: str
-
+# Besides a name (str) and a literal (int or float), an expression is one of
+# these.  Slotted and not frozen, so that the parser builds them cheaply;
+# like the statements below, nothing assigns to their fields after the parse.
 
 @dataclass(slots=True, unsafe_hash=True)
 class IndexExpr:
@@ -72,7 +64,7 @@ class Decl:
 
 @dataclass
 class Assign:
-    target: object          # VarExpr or IndexExpr
+    target: str | IndexExpr
     op: str                 # '=' '+=' '-=' '*=' '/='
     value: object
 

@@ -18,11 +18,15 @@ Grammar (informal):
     dowhile   = 'do' body 'while' '(' expr ')' ';'
 
 Expressions support || && comparisons + - * / % unary !/- literals,
-identifiers, indexing and calls.  Comments are // and /* */; lines starting
-with '#' (inserted pragmas) are skipped like comments.  Pointers, goto,
-switch/break/continue and the preprocessor are outside the subset and are
-rejected with a ParseError, as is nesting deeper than MAX_NESTING levels: the
-cap keeps every recursive pass over the tree far from Python's stack limit.
+identifiers, indexing and calls.  In the AST a name is its string and a
+literal its number: a float if its token holds '.', 'e' or 'E', else the int
+that C reads, octal after a leading 0.  An 8 or 9 after a leading 0, or a
+value past 2**64 - 1, which no C type holds, is a ParseError.  Comments are
+// and /* */; lines starting with '#' (inserted pragmas) are skipped like
+comments.  Pointers, goto, switch/break/continue and the preprocessor are
+outside the subset and are rejected with a ParseError, as is nesting deeper
+than MAX_NESTING levels: the cap keeps every recursive pass over the tree far
+from Python's stack limit.
 
 Tokens, and the loops and accesses recorded from them, carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
@@ -54,23 +58,9 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
-from .loops import (DEFINE, REF, SET, LoopNode, VarAccess, _canonical_counter,
-                    _normalize_index)
-from .nodes import (
-    Assign,
-    BinaryExpr,
-    CallExpr,
-    Decl,
-    Function,
-    If,
-    IndexExpr,
-    NumLit,
-    Program,
-    Return,
-    SourcePos,
-    UnaryExpr,
-    VarExpr,
-)
+from .loops import DEFINE, REF, SET, LoopNode, VarAccess
+from .nodes import (Assign, BinaryExpr, CallExpr, Decl, Function, If, IndexExpr, Program,
+                    Return, SourcePos, UnaryExpr)
 
 TYPE_KEYWORDS = ("int", "float", "double")
 KEYWORDS = TYPE_KEYWORDS + ("if", "else", "for", "while", "do", "return")
@@ -90,6 +80,8 @@ MAX_NESTING = 128
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
                  ("+", "-"), ("*", "/", "%"))
 _LEVEL_OF = {op: level for level, ops in enumerate(BINARY_LEVELS) for op in ops}
+# the largest integer constant that a C type holds: 22 digits in octal
+MAX_INT_CONSTANT = 2**64 - 1    # unsigned long long
 
 # One token per match, after any blanks.  `\w` is exactly str.isalnum() or
 # '_'; an identifier starting outside ASCII must also pass str.isalpha().
@@ -159,6 +151,44 @@ def tokenize(text: str, path: str = "<source>") -> list[Token]:
                              start - line_start + 1, path)
     append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+# -- what the parse reads off AST nodes --
+
+def _canonical_counter(loop: LoopNode) -> str | None:
+    """The counter of a canonical counted loop, read off its header, else None.
+
+    Canonical: a for loop with `i = e`; `i < e` or `i <= e`; `i += c` with
+    c a positive integer literal, which covers `i++` since the parser reads
+    it as `i += 1`.  A while or do-while loop has no init, so it is never
+    canonical.
+    """
+    init, cond, step = loop.init, loop.cond, loop.step
+    name = init.target if init is not None and init.op == "=" else None
+    if (type(name) is str and type(cond) is BinaryExpr and cond.op in ("<", "<=")
+            and cond.left == name and step is not None and step.op == "+="
+            and step.target == name and type(step.value) is int and step.value > 0):
+        return name
+    return None
+
+
+def _normalize_index(expr) -> tuple | None:
+    """Reduce an index expression to (var, offset) where possible.
+
+    `i` -> (i, 0); `i + 2` / `2 + i` -> (i, 2); `i - 1` -> (i, -1);
+    integer literal c -> (None, c); anything else -> None (unanalyzable).
+    """
+    if type(expr) is str:
+        return (expr, 0)
+    if type(expr) is int:
+        return (None, expr)
+    if type(expr) is BinaryExpr and expr.op in ("+", "-"):
+        left, right = expr.left, expr.right
+        if type(left) is str and type(right) is int:
+            return (left, right if expr.op == "+" else -right)
+        if expr.op == "+" and type(left) is int and type(right) is str:
+            return (right, left)
+    return None
 
 
 class _Parser:
@@ -364,19 +394,19 @@ class _Parser:
         if self.at("["):
             target = self.parse_index(name)     # records its ref in the slot
         else:
-            target = VarExpr(name.text)
+            target = name.text
             accesses.append(self.access(name.text, REF, name.pos, *self.declared(name.text)))
         ref = accesses[slot]
         op_tok = self.advance()
         op = op_tok.text
-        incdec = op in ("++", "--") and type(target) is VarExpr
+        incdec = op in ("++", "--") and type(target) is str
         if incdec:
             op = op[0] + "="
         elif op not in ASSIGN_OPS:
             self.error(f"expected an assignment operator, found {op!r}", op_tok)
         set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.param_rank, ref.indices)
         accesses[slot:slot + 1] = (set_,) if op == "=" else (set_, ref)
-        return Assign(target, op, NumLit(1.0, False) if incdec else self.parse_expr())
+        return Assign(target, op, 1 if incdec else self.parse_expr())
 
     def parse_index(self, name: Token) -> IndexExpr:
         """name's subscripts, with the array's ref recorded ahead of their reads."""
@@ -514,12 +544,10 @@ class _Parser:
                 if after == "[":
                     return self.parse_index(tok)
                 self.accesses.append(self.access(text, REF, tok.pos, *self.declared(text)))
-                return VarExpr(text)
+                return text
         elif kind == "num":
             self.i += 1
-            text = tok.text
-            is_float = "." in text or "e" in text or "E" in text
-            return NumLit(float(text), is_float)
+            return self.number(tok)
         elif kind == "punct":
             text = tok.text
             if text == "(" or text == "!" or text == "-":
@@ -534,14 +562,30 @@ class _Parser:
                 return inner
         self.error(f"expected an expression, found {tok.text!r}", tok)
 
+    def number(self, tok: Token) -> int | float:
+        """A literal's value: a float if it holds '.', 'e' or 'E', else the
+        int that C reads, octal after a leading 0, and MAX_INT_CONSTANT at most."""
+        text = tok.text
+        if "." in text or "e" in text or "E" in text:
+            return float(text)
+        octal = text[0] == "0"
+        digit = octal and next((c for c in text if c in "89"), None)
+        if digit:
+            self.error(f"invalid digit {digit!r} in octal constant", tok)
+        if len(text.lstrip("0")) <= 22:     # a longer one is too large, unconverted
+            value = int(text, 8 if octal else 10)
+            if value <= MAX_INT_CONSTANT:
+                return value
+        self.error(f"integer constant larger than {MAX_INT_CONSTANT}", tok)
+
     def parse_arg(self):
         """A call argument.  An array passed whole may be read and written
         inside the callee, so its ref, the last access a bare name records,
         is followed by a set at its position, with unknown element indices."""
         arg = self.parse_expr()
-        if type(arg) is VarExpr and self.accesses[-1].is_array:
+        if type(arg) is str and self.accesses[-1].is_array:
             ref = self.accesses[-1]
-            self.accesses.append(self.access(arg.name, SET, ref.pos, True, ref.param_rank))
+            self.accesses.append(self.access(arg, SET, ref.pos, True, ref.param_rank))
         return arg
 
 

@@ -274,6 +274,14 @@ CORPUS = [
      " int main(){float a[100]; int k; for(k=0;k<100;k++){ a[k] = k; }"
      " f(a, a); return 0;}",
      0, False, LOOP_CARRIED_DEPENDENCE),
+    # C reads 010 as 8: iteration i reads what iteration i + 2 writes
+    ("int main(){int i; float a[100];"
+     " for(i=0;i<10;i++){ a[i + 010] = a[i + 10] + 1.0; }}",
+     0, False, LOOP_CARRIED_DEPENDENCE),
+    # offsets 2**53 + 1 and 2**53 are one apart, though one float holds both
+    ("int main(){int i; float a[100];"
+     " for(i=0;i<10;i++){ a[i + 9007199254740993] = a[i + 9007199254740992] + 1.0; }}",
+     0, False, LOOP_CARRIED_DEPENDENCE),
 ]
 
 

@@ -811,6 +811,21 @@ def run_acctuner(*args, stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, env=env, timeout=60)
 
 
+@pytest.mark.parametrize("offset", ["9" * 400, "08"], ids=["400 nines", "08"])
+def test_check_of_bad_integer_constant_is_one_json_error(tmp_path, offset):
+    # a 400-digit offset once ended check in an OverflowError traceback
+    src = tmp_path / "big.c"
+    src.write_text("int main(){int i; float a[10];\n"
+                   f"for(i=0;i<10;i++){{ a[i + {offset}] = 1.0; }}\nreturn 0;}}\n")
+    proc = run_acctuner("check", "--source", str(src))
+    assert proc.returncode == EXIT_PARSE_ERROR
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 300, lines
+    error = json.loads(lines[0])["error"]
+    assert (error["type"], error["exit_code"]) == ("ParseError", EXIT_PARSE_ERROR)
+    assert "constant" in error["message"]
+
+
 def is_annotation_of(output: bytes, source: bytes) -> bool:
     """True when output is source plus at least one `#pragma acc` line."""
     text = output.decode("utf-8")

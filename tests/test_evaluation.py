@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from acctuner import evaluation
 from acctuner.analysis import GenomeMap, ProfileEntry
 from acctuner.errors import ModelError, SpawnError
 from acctuner.evaluation import (
@@ -253,6 +254,25 @@ def test_unwritable_trial_source_is_spawn_error(tmp_path):
     workdir.rmdir()
     with pytest.raises(SpawnError, match="cannot write a trial source"):
         command_evaluate(config, SOURCE)
+
+
+def test_unspawnable_step_is_spawn_error(tmp_path, monkeypatch):
+    def no_shell(cmd, timeout, workdir):
+        raise OSError("no shell")
+    monkeypatch.setattr(evaluation, "run_shell", no_shell)
+    config = CommandEvaluatorConfig("cc-stub {src}", "true", timeout_seconds=5.0,
+                                    workdir=str(tmp_path))
+    message = r"cannot spawn compile command 'cc-stub \S+/trial_\w+\.c': no shell"
+    with pytest.raises(SpawnError, match=message):
+        command_evaluate(config, SOURCE)
+    assert not list(tmp_path.iterdir())
+
+
+def test_step_that_exits_zero_past_the_timeout_is_timeout(monkeypatch):
+    # a step that exits 0 after its deadline, but before run_shell saw it pass
+    monkeypatch.setattr(evaluation, "run_shell", lambda cmd, timeout, workdir: (0, timeout + 0.5))
+    m = command_evaluate(CommandEvaluatorConfig("true", "true", timeout_seconds=2.0), SOURCE)
+    assert (m.status, m.seconds) == ("timeout", 2.5)
 
 
 def test_trials_of_one_genome_get_distinct_sources(tmp_path):

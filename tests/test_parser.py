@@ -3,7 +3,7 @@ import pytest
 import acctuner as at
 from acctuner.errors import ParseError
 from acctuner.loops import LoopNode
-from acctuner.nodes import Assign, Decl, If, NumLit, VarExpr
+from acctuner.nodes import Assign, Decl, If
 from acctuner.parser import parse, tokenize
 
 
@@ -122,6 +122,18 @@ ERROR_CORPUS = [
     # an unsupported keyword inside an expression
     ('int main(){int x; x = sizeof(x);}',
      "unsupported construct 'sizeof'", 1, 23),
+    # integer constants as C reads them: an octal digit after a leading 0,
+    # and no larger value than unsigned long long holds
+    ('int main(){ int x;\n  x = 1 + 08; }',
+     "invalid digit '8' in octal constant", 2, 11),
+    ('int main(){ int x;\n  x = 0779; }',
+     "invalid digit '9' in octal constant", 2, 7),
+    ('int main(){ int x;\n  x = 18446744073709551616; }',
+     'integer constant larger than 18446744073709551615', 2, 7),
+    ('int main(){ float a[10]; int i; a[i + ' + '9' * 400 + '] = 1.0; }',
+     'integer constant larger than 18446744073709551615', 1, 39),
+    ('int main(){ int x; x = 0' + '7' * 23 + '; }',
+     'integer constant larger than 18446744073709551615', 1, 24),
 ]
 
 
@@ -131,6 +143,33 @@ def test_parse_error_corpus(text, message, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+# Integer literals and the values that C gives them; tests/test_gcc.py has
+# gcc check each value.
+INT_LITERALS = [
+    ("0", 0),
+    ("7", 7),
+    ("010", 8),
+    ("0777", 511),
+    ("000000000000000000000000001", 1),
+    ("9007199254740993", 2**53 + 1),
+    ("01777777777777777777777", 2**64 - 1),
+    ("18446744073709551615", 2**64 - 1),
+]
+
+
+@pytest.mark.parametrize("literal,value", INT_LITERALS)
+def test_integer_literal_is_its_c_value(literal, value):
+    assign = parse(f"int main(){{ int x; x = {literal}; }}").functions[0].body[1]
+    assert type(assign.value) is int and assign.value == value
+
+
+@pytest.mark.parametrize("literal,value", [("1.0", 1.0), ("08.5", 8.5), ("010e1", 100.0),
+                                           ("2E3", 2000.0)])
+def test_literal_with_point_or_exponent_is_a_float(literal, value):
+    assign = parse(f"int main(){{ float x; x = {literal}; }}").functions[0].body[1]
+    assert type(assign.value) is float and assign.value == value
 
 
 def test_parse_error_carries_position():
@@ -216,8 +255,8 @@ def test_statement_variety_roundtrip():
     # a loop statement is its LoopNode
     loops = [s for s in fn.body if isinstance(s, LoopNode)]
     assert [loop.kind for loop in loops] == ["for", "while", "dowhile"]
-    # `j++` is read as `j += 1`
-    assert loops[1].body == [Assign(VarExpr("j"), "+=", NumLit(1.0, False))]
+    # `j++` is read as `j += 1`, a name being its string and a literal its number
+    assert loops[1].body == [Assign("j", "+=", 1)]
 
 
 def test_multi_declarator_stays_flat():
