@@ -17,7 +17,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import AutotunerError, ProfileError, _read_input
+from .errors import AutotunerError, ProfileError, _quote, _read_input
 from .loops import REF, SET, LoopNode, VarAccess
 
 DEFAULT_GATE_THRESHOLD = 10_000_000
@@ -55,7 +55,7 @@ def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
     entries: Profile = {}
     for rec in data["loops"]:
         if not isinstance(rec, dict):
-            raise ProfileError(f"profile {path}: malformed record {rec!r}")
+            raise ProfileError(f"profile {path}: malformed record {_quote(rec)}")
         try:
             loop_id = rec["id"]
             entry_count = rec["entry_count"]
@@ -66,7 +66,7 @@ def load_profile(path: str | Path, tree: list[LoopNode]) -> Profile:
                             ("total_iterations", total)):
             if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**63:
                 raise ProfileError(
-                    f"profile {path}: {name}={value!r} must be an integer in [0, 2**63 - 1]")
+                    f"profile {path}: {name}={_quote(value)} must be an integer in [0, 2**63 - 1]")
         if loop_id in entries:
             raise ProfileError(f"profile {path}: duplicate record for loop {loop_id}")
         entries[loop_id] = ProfileEntry(entry_count, total)

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .analysis import GenomeMap
-from .loops import LoopNode
-from .nodes import Program
+from .loops import LoopNode, Program
 from .transfer import CLAUSE_ORDER, TransferPlan, regions
 
 KERNELS_LINE = "#pragma acc kernels"

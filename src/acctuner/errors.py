@@ -72,6 +72,12 @@ class Interrupted(AutotunerError):
     exit_code = 130     # 128 + SIGINT, as a shell reports a command it stopped
 
 
+def _quote(value) -> str:
+    """repr(value) for a message, cut to 40 characters: a cut one ends in '...'."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _read_input(path, what: str, error: Callable[[str], AutotunerError], as_json: bool = True):
     """The text of an input file read as UTF-8, parsed as JSON when `as_json`;
     otherwise its line ends are kept as they are.  A file that cannot be

@@ -18,7 +18,7 @@ from pathlib import Path
 from string import Formatter
 
 from .analysis import GenomeMap, Profile
-from .errors import ModelError, SpawnError, _read_input, _write_output
+from .errors import ModelError, SpawnError, _quote, _read_input, _write_output
 from .loops import LoopNode
 from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, regions
@@ -70,7 +70,8 @@ def load_cost_model(path: str | Path) -> CostModel:
     # int() also reads "1_0", " 2" and "01", so two keys could price one loop
     for key in data["loops"]:
         if str(int(key)) != key:
-            raise ModelError(f"cost model {path}: loop key {key!r} is not a loop id in decimal")
+            raise ModelError(
+                f"cost model {path}: loop key {_quote(key)} is not a loop id in decimal")
     # NaN fails every comparison, so each bound below also rejects it
     for key, cost in loops.items():
         if not (0 <= cost.cpu_us_per_iter < math.inf and 0 <= cost.kernel_launch_us < math.inf):
@@ -132,12 +133,12 @@ def _check_template(name: str, template) -> None:
     if not isinstance(template, str) or not template:
         raise ValueError(f"{name} must be a non-empty string")
     try:
-        bad = [field for _, field, spec, conversion in Formatter().parse(template)
+        bad = [_quote(field) for _, field, spec, conversion in Formatter().parse(template)
                if field is not None and (field not in ("src", "bin") or spec or conversion)]
     except ValueError as exc:
         bad = [str(exc)]
     if bad:
-        raise ValueError(f"{name} {template!r} has a bad field ({bad[0]}): only {{src}} and "
+        raise ValueError(f"{name} {_quote(template)} has a bad field ({bad[0]}): only {{src}} and "
                          "{bin} are filled in, and a literal brace is written {{ or }}")
 
 

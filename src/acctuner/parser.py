@@ -30,18 +30,18 @@ from Python's stack limit.
 
 Tokens, and the loops and accesses recorded from them, carry only the
 (line, col) where they start, both 1-based; a tab or a carriage return
-counts as one column.  Of the AST, only a loop statement has one (nodes.py).
+counts as one column.  Of the AST, only a loop statement has one (loops.py).
 
 The one pass over the tokens also records, on the Program, the loop tree and
-every variable access (their types are in loops.py), so no later pass walks
-the AST again.  A loop statement is its LoopNode, numbered at its keyword,
-before the loops in its body; its ancestors are the open loops, nearest
-first, and a `return` marks every open loop as left early.  Accesses follow
-the source, one per identifier occurrence and two (at one position) for a
-compound assignment's target, `i++` being `i += 1`, and for an array passed
-whole to a call, which gets a ref then a set.  Where a record needs what
-comes later, its list slot is reserved first: an indexed name's access goes
-ahead of its subscripts' reads, and an assignment target's set, then a
+every variable access (loops.py holds the types of all three), so no later
+pass walks the AST again.  A loop statement is its LoopNode, numbered at its
+keyword, before the loops in its body; its ancestors are the open loops,
+nearest first, and a `return` marks every open loop as left early.  Accesses
+follow the source, one per identifier occurrence and two (at one position)
+for a compound assignment's target, `i++` being `i += 1`, and for an array
+passed whole to a call, which gets a ref then a set.  Where a record needs
+what comes later, its list slot is reserved first: an indexed name's access
+goes ahead of its subscripts' reads, and an assignment target's set, then a
 compound operator's ref, ahead of the target's subscript reads.  A
 declarator's define, as an array if `[` follows the name, goes ahead of its
 dims and initializer; a parameter's dims record nothing.  Each block, braced
@@ -57,10 +57,9 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .errors import ParseError
-from .loops import DEFINE, REF, SET, LoopNode, VarAccess
-from .nodes import (Assign, BinaryExpr, CallExpr, Decl, Function, If, IndexExpr, Program,
-                    Return, SourcePos, UnaryExpr)
+from .errors import ParseError, _quote
+from .loops import (DEFINE, REF, SET, Assign, BinaryExpr, CallExpr, Decl, Function, If,
+                    IndexExpr, LoopNode, Program, Return, SourcePos, UnaryExpr, VarAccess)
 
 TYPE_KEYWORDS = ("int", "float", "double")
 KEYWORDS = TYPE_KEYWORDS + ("if", "else", "for", "while", "do", "return")
@@ -73,8 +72,9 @@ UNSUPPORTED_KEYWORDS = frozenset(
 )
 
 ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=")
-# braces, unbraced loop and if bodies, parentheses, brackets and unary
-# operators each open a level; one past the cap fails at its opening token
+# braces, unbraced loop and if bodies, parentheses, a subscript's brackets
+# and unary operators each open a level, a declaration's size brackets none;
+# one past the cap fails at its opening token
 MAX_NESTING = 128
 # binary operators, loosest-binding first
 BINARY_LEVELS = (("||",), ("&&",), ("==", "!="), ("<", "<=", ">", ">="),
@@ -235,8 +235,7 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.tokens[self.i]
         if tok.text != text:
-            found = repr(tok.text) if tok.text else "end of input"
-            self.error(f"expected {text!r}, found {found}", tok)
+            self.unexpected(repr(text), tok)
         self.i += 1
         return tok
 
@@ -244,15 +243,19 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col, self.path)
 
+    def unexpected(self, what: str, tok: Token):
+        """Fail at tok, where `what` was expected; a keyword outside the
+        subset fails as an unsupported construct instead."""
+        if tok.kind == "ident" and tok.text in UNSUPPORTED_KEYWORDS:
+            self.error(f"unsupported construct {tok.text!r}", tok)
+        found = "end of input" if tok.kind == "eof" else _quote(tok.text)
+        self.error(f"expected {what}, found {found}", tok)
+
     def nest(self, tok: Token):
         """Open a level at tok; the caller closes it (a ParseError needs no closing)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
-
-    def check_supported(self, tok: Token):
-        if tok.kind == "ident" and tok.text in UNSUPPORTED_KEYWORDS:
-            self.error(f"unsupported construct {tok.text!r}", tok)
 
     # -- loop and access records --
 
@@ -297,16 +300,14 @@ class _Parser:
 
     def expect_type(self, what: str):
         tok = self.peek()
-        self.check_supported(tok)
         if tok.text not in TYPE_KEYWORDS:
-            self.error(f"expected {what}, found {tok.text!r}", tok)
+            self.unexpected(what, tok)
         self.advance()
 
     def expect_ident(self) -> Token:
         tok = self.peek()
-        self.check_supported(tok)
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            self.error(f"expected identifier, found {tok.text!r}", tok)
+        if tok.kind != "ident" or tok.text in KEYWORDS or tok.text in UNSUPPORTED_KEYWORDS:
+            self.unexpected("identifier", tok)
         return self.advance()
 
     def parse_param(self) -> Decl:
@@ -350,7 +351,6 @@ class _Parser:
         """Append the next statement to block.  A declaration appends one
         Decl per declarator, so a comma list stays a flat run of Decls."""
         tok = self.peek()
-        self.check_supported(tok)
         if tok.text in TYPE_KEYWORDS:
             self.advance()
             block.append(self.parse_declarator())
@@ -371,7 +371,7 @@ class _Parser:
             block.append(self.parse_primary() if call else self.parse_assign())
             self.expect(";")
         else:
-            self.error(f"expected a statement, found {tok.text!r}", tok)
+            self.unexpected("a statement", tok)
 
     def parse_declarator(self) -> Decl:
         name = self.expect_ident()
@@ -403,7 +403,7 @@ class _Parser:
         if incdec:
             op = op[0] + "="
         elif op not in ASSIGN_OPS:
-            self.error(f"expected an assignment operator, found {op!r}", op_tok)
+            self.unexpected("an assignment operator", op_tok)
         set_ = self.access(name.text, SET, ref.pos, ref.is_array, ref.param_rank, ref.indices)
         accesses[slot:slot + 1] = (set_,) if op == "=" else (set_, ref)
         return Assign(target, op, 1 if incdec else self.parse_expr())
@@ -526,9 +526,7 @@ class _Parser:
         kind = tok.kind
         if kind == "ident":
             text = tok.text
-            if text in UNSUPPORTED_KEYWORDS:
-                self.error(f"unsupported construct {text!r}", tok)
-            if text not in KEYWORDS:
+            if text not in KEYWORDS and text not in UNSUPPORTED_KEYWORDS:
                 self.i += 1
                 after = self.tokens[self.i].text
                 if after == "(":
@@ -560,7 +558,7 @@ class _Parser:
                     inner = UnaryExpr(text, self.parse_primary())
                 self.depth -= 1
                 return inner
-        self.error(f"expected an expression, found {tok.text!r}", tok)
+        self.unexpected("an expression", tok)
 
     def number(self, tok: Token) -> int | float:
         """A literal's value: a float if it holds '.', 'e' or 'E', else the

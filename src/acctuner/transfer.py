@@ -25,9 +25,9 @@ its hoist target contains the region of a transfer of v with another target.
 
 A genome is read once, by `regions`, into a region map: each loop id maps
 to the selected loop it lies in (itself included), or None on the CPU
-side.  It is the one nesting check too.  As regions never nest, the
-planner files each access once, under the region of its innermost loop or
-under its function's CPU side.
+side.  It is the one nesting check too.  A region's accesses are its
+loop's run of the access list (loops.py); the planner files only the others,
+the CPU side, each under its function.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import InvalidGenome
-from .loops import DEFINE, REF, SET, LoopNode, VarAccess
-from .nodes import Program
+from .loops import DEFINE, REF, SET, LoopNode, Program, VarAccess
 
 COPY = "copy"
 COPYIN = "copyin"
@@ -110,26 +109,26 @@ def _hoist_target(region: LoopNode, cpu_accesses: list[VarAccess],
 def plan_transfers(program: Program, tree: list[LoopNode], accesses: list[VarAccess],
                    genome_bits: str, genome_map: GenomeMap) -> TransferPlan:
     """Apply the transfer rules to every selected region of a valid genome.
+    The accesses are the parse's list, which each loop's run indexes.
 
     The result is canonically ordered (target loop, then clause, then first
     variable), so identical inputs always produce identical plans.
     """
     region_of = regions(genome_bits, genome_map, tree)
 
-    # each access filed once: under its region, or its function's CPU side
-    inside_of: dict[int, list[VarAccess]] = {}
+    # the accesses outside every region, filed under their function
     cpu_by_function: dict[str, list[VarAccess]] = {}
     for a in accesses:
-        region = region_of[a.loop_path[-1]] if a.loop_path else None
-        if region is None:
+        if not a.loop_path or region_of[a.loop_path[-1]] is None:
             cpu_by_function.setdefault(a.function, []).append(a)
-        else:
-            inside_of.setdefault(region, []).append(a)
 
     # (region, var, clause, hoist target) per transfer, regions ascending
     needs: list[tuple[int, str, str, int]] = []
-    for region, inside in sorted(inside_of.items()):
-        cpu_side = cpu_by_function.get(tree[region].function, [])
+    for node, region in zip(tree, region_of):
+        if region != node.loop_id:
+            continue
+        inside = accesses[node.access_start:node.access_stop]
+        cpu_side = cpu_by_function.get(node.function, [])
 
         # a set in a loop header inside the region writes a counter of the
         # region's own loops, which lives entirely on the GPU
@@ -148,7 +147,7 @@ def plan_transfers(program: Program, tree: list[LoopNode], accesses: list[VarAcc
                 clause, blockers = COPYIN, _COPYIN_BLOCKERS
             else:
                 continue
-            needs.append((region, var, clause, _hoist_target(tree[region], var_cpu, blockers)))
+            needs.append((region, var, clause, _hoist_target(node, var_cpu, blockers)))
 
     # the lowered (loop, var) pairs; a variable never hoisted costs no walk
     above: dict[str, set[int]] = {}

@@ -258,7 +258,9 @@ LOOP_COST = {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0
     # loop keys are loop ids in decimal: "1_0" is not loop 10, "01" not loop 1
     (("loops", "1_0"), LOOP_COST), (("loops", "01"), LOOP_COST),
     # and name only loops of the program, as a profile's ids do
-    (("loops", "99"), LOOP_COST), (("loops", "-1"), LOOP_COST)])
+    (("loops", "99"), LOOP_COST), (("loops", "-1"), LOOP_COST),
+    # the message quotes a long key in part
+    (("loops", "0" * 3000), LOOP_COST)])
 def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     model = json.loads((workdir / "siblings3_model.json").read_text())
     record = model
@@ -272,6 +274,7 @@ def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     error = error_of(capsys)
     assert error["type"] == "ModelError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert len(error["message"]) < 300, error["message"]
     assert not (workdir / "report.json").exists()
 
 
@@ -600,6 +603,8 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     {"compile_cmd": "true", "run_cmd": "true", "workdir": "absent"},
     {"compile_cmd": "true", "run_cmd": "awk '{print}' {bin}"},
     {"compile_cmd": "true"},
+    # the message quotes a long template and its bad field in part
+    {"compile_cmd": "true " + "x" * 3000 + " {" + "y" * 3000 + "}", "run_cmd": "true"},
 ])
 def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "cmd.json"
@@ -609,6 +614,7 @@ def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     error = error_of(capsys)
     assert error["type"] == "SpawnError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert len(error["message"]) < 300, error["message"]
     if "run_cmd" not in config:
         assert error["message"].endswith(": missing key 'run_cmd'")
 
@@ -671,6 +677,7 @@ def test_profile_count_past_int64_is_profile_error(workdir, capsys, field):
     assert main(tune_args(workdir, **{"--profile": str(path)})) == EXIT_PROFILE_ERROR
     error = error_of(capsys)
     assert (error["type"], error["exit_code"]) == ("ProfileError", EXIT_PROFILE_ERROR)
+    assert len(error["message"]) < 300, error["message"]
     assert not (workdir / "report.json").exists()
 
 
@@ -811,19 +818,26 @@ def run_acctuner(*args, stdout=subprocess.PIPE):
                           stderr=subprocess.PIPE, env=env, timeout=60)
 
 
-@pytest.mark.parametrize("offset", ["9" * 400, "08"], ids=["400 nines", "08"])
-def test_check_of_bad_integer_constant_is_one_json_error(tmp_path, offset):
-    # a 400-digit offset once ended check in an OverflowError traceback
+OFFSET_LOOP = ("int main(){{int i; float a[10];\n"
+               "for(i=0;i<10;i++){{ a[i + {}] = 1.0; }}\nreturn 0;}}\n")
+
+
+@pytest.mark.parametrize("text,fragment", [
+    (OFFSET_LOOP.format("9" * 400), "constant"), (OFFSET_LOOP.format("08"), "constant"),
+    ("int main(){int x; x = 1 " + "9" * 5000 + ";}\n", "expected ';'")],
+    ids=["400 nines", "08", "5000 nines after a number"])
+def test_check_of_bad_integer_constant_is_one_json_error(tmp_path, text, fragment):
+    # a 400-digit offset once ended check in an OverflowError traceback, and
+    # a message once quoted a 5000-digit token in full
     src = tmp_path / "big.c"
-    src.write_text("int main(){int i; float a[10];\n"
-                   f"for(i=0;i<10;i++){{ a[i + {offset}] = 1.0; }}\nreturn 0;}}\n")
+    src.write_text(text)
     proc = run_acctuner("check", "--source", str(src))
     assert proc.returncode == EXIT_PARSE_ERROR
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and len(lines[0]) < 300, lines
     error = json.loads(lines[0])["error"]
     assert (error["type"], error["exit_code"]) == ("ParseError", EXIT_PARSE_ERROR)
-    assert "constant" in error["message"]
+    assert fragment in error["message"]
 
 
 def is_annotation_of(output: bytes, source: bytes) -> bool:

@@ -16,8 +16,7 @@ from acctuner.evaluation import (
     load_cost_model,
     simulate_time,
 )
-from acctuner.loops import LoopNode
-from acctuner.nodes import SourcePos
+from acctuner.loops import LoopNode, SourcePos
 from acctuner.pipeline import build_evaluator
 from acctuner.transfer import DataDirective, TransferPlan
 

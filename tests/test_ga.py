@@ -18,8 +18,7 @@ from acctuner.ga import (
     run_ga,
     select_next_parents,
 )
-from acctuner.loops import LoopNode
-from acctuner.nodes import SourcePos
+from acctuner.loops import LoopNode, SourcePos
 
 
 class ScriptedRng:

@@ -2,8 +2,7 @@ import re
 
 import pytest
 
-from acctuner.loops import DEFINE, REF, SET, LoopNode
-from acctuner.nodes import If
+from acctuner.loops import DEFINE, REF, SET, If, LoopNode
 from acctuner.parser import parse
 
 from conftest import FIXTURES, analyze, bench_module, gen_large_record

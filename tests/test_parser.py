@@ -2,9 +2,8 @@ import pytest
 
 import acctuner as at
 from acctuner.errors import ParseError
-from acctuner.loops import LoopNode
-from acctuner.nodes import Assign, Decl, If
-from acctuner.parser import parse, tokenize
+from acctuner.loops import Assign, Decl, If, LoopNode
+from acctuner.parser import KEYWORDS, UNSUPPORTED_KEYWORDS, parse, tokenize
 
 
 def test_minimal_program():
@@ -69,7 +68,7 @@ ERROR_CORPUS = [
     ('int main(){ int x; x = (1 + 2; }',
      "expected ')', found ';'", 1, 30),
     ('int main(',
-     "expected parameter type, found ''", 1, 10),
+     'expected parameter type, found end of input', 1, 10),
     ('int main(){ int a[]; }',
      'array dimension requires a size expression', 1, 19),
     ('int main(){ int x; x = ; }',
@@ -134,6 +133,21 @@ ERROR_CORPUS = [
      'integer constant larger than 18446744073709551615', 1, 39),
     ('int main(){ int x; x = 0' + '7' * 23 + '; }',
      'integer constant larger than 18446744073709551615', 1, 24),
+    # every site names the end of input so, and quotes at most 40 characters
+    # of the token that it found
+    ('int',
+     'expected identifier, found end of input', 1, 4),
+    ('int main(){ int x; x =',
+     'expected an expression, found end of input', 1, 23),
+    ('int main(){ int x; x',
+     'expected an assignment operator, found end of input', 1, 21),
+    ('int main(){ int x; x = 1 ' + '9' * 5000 + '; }',
+     "expected ';', found '" + '9' * 36 + "...", 1, 26),
+    ('int main(){ int x; x = 1 ' + 'y' * 5000 + '; }',
+     "expected ';', found '" + 'y' * 36 + "...", 1, 26),
+    # an unsupported keyword where punctuation or an operator was expected
+    ('int main(){ int x; x = 1 static; }',
+     "unsupported construct 'static'", 1, 26),
 ]
 
 
@@ -143,6 +157,39 @@ def test_parse_error_corpus(text, message, line, col):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+
+
+PUNCTUATORS = ("( ) { } [ ] ; , = += -= *= /= ++ -- + - * / % < <= > >= == != && || !"
+               .split())
+# starts that take a drawn sequence past the function header, into a
+# statement and into an expression
+PREFIXES = ("", "int main(", "int main(){ int x; ", "int main(){ float a[4]; x = a[")
+
+
+def test_parse_fails_only_with_a_short_parse_error():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    long_run = st.integers(1, 5000)
+    token = st.one_of(
+        st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,8}", fullmatch=True),
+        long_run.map(lambda n: "y" * n),
+        st.from_regex(r"[0-9]{1,4}(\.[0-9]+)?([eE][0-9])?", fullmatch=True),
+        long_run.map(lambda n: "9" * n),
+        st.sampled_from(KEYWORDS + tuple(sorted(UNSUPPORTED_KEYWORDS))),
+        st.sampled_from(PUNCTUATORS))
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(prefix=st.sampled_from(PREFIXES), tokens=st.lists(token, max_size=30),
+                      data=st.data())
+    def parses_or_fails_briefly(prefix, tokens, data):
+        text = prefix + " ".join(tokens)
+        text = text[:data.draw(st.integers(0, len(text)))]
+        try:
+            parse(text)
+        except ParseError as exc:
+            assert len(exc.message) <= 120, exc.message
+
+    parses_or_fails_briefly()
 
 
 # Integer literals and the values that C gives them; tests/test_gcc.py has
