@@ -66,7 +66,7 @@ def load_cost_model(path: str | Path) -> CostModel:
         fixed = float(data["transfer_fixed_us"])
         per_kib = float(data["transfer_us_per_kib"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"cost model {path}: malformed entry: {exc!r}") from exc
+        raise ModelError(f"cost model {path}: malformed entry: {_quote(exc)}") from exc
     # int() also reads "1_0", " 2" and "01", so two keys could price one loop
     for key in data["loops"]:
         if str(int(key)) != key:
@@ -88,7 +88,7 @@ def directive_cost_us(model: CostModel, directive_vars: tuple[str, ...]) -> floa
     total = model.transfer_fixed_us
     for var in directive_vars:
         if var not in model.var_bytes:
-            raise ModelError(f"cost model has no size for variable {var!r}")
+            raise ModelError(f"cost model has no size for variable {_quote(var)}")
         total += model.var_bytes[var] / 1024.0 * model.transfer_us_per_kib
     return total
 
@@ -155,7 +155,7 @@ class CommandEvaluatorConfig:
             _check_template("run_cmd", self.run_cmd)
         workdir = self.workdir
         if workdir is not None and not (isinstance(workdir, str) and os.path.isdir(workdir)):
-            raise ValueError(f"workdir {workdir!r} is not an existing directory")
+            raise ValueError(f"workdir {_quote(workdir)} is not an existing directory")
 
 
 def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,

@@ -259,8 +259,9 @@ LOOP_COST = {"cpu_us_per_iter": 1.0, "gpu_speedup": 2.0, "kernel_launch_us": 0.0
     (("loops", "1_0"), LOOP_COST), (("loops", "01"), LOOP_COST),
     # and name only loops of the program, as a profile's ids do
     (("loops", "99"), LOOP_COST), (("loops", "-1"), LOOP_COST),
-    # the message quotes a long key in part
-    (("loops", "0" * 3000), LOOP_COST)])
+    # the message quotes a long key or value in part
+    (("loops", "0" * 3000), LOOP_COST),
+    pytest.param(("loops", "0", "gpu_speedup"), "x" * 3000, id="3000-letter value")])
 def test_tune_bad_cost_model_is_model_error(workdir, capsys, entry, value):
     model = json.loads((workdir / "siblings3_model.json").read_text())
     record = model
@@ -603,8 +604,9 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     {"compile_cmd": "true", "run_cmd": "true", "workdir": "absent"},
     {"compile_cmd": "true", "run_cmd": "awk '{print}' {bin}"},
     {"compile_cmd": "true"},
-    # the message quotes a long template and its bad field in part
+    # the message quotes a long template and its bad field, or a long workdir, in part
     {"compile_cmd": "true " + "x" * 3000 + " {" + "y" * 3000 + "}", "run_cmd": "true"},
+    {"compile_cmd": "true", "run_cmd": "true", "workdir": "w" * 3000},
 ])
 def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "cmd.json"

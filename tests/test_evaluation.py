@@ -89,12 +89,14 @@ def test_sim_evaluator_model_names_each_loop_and_no_other(tmp_path, loops, messa
     assert str(raised.value) == f"cost model {path}: {message}"
 
 
-def test_simulate_missing_var_entry():
+@pytest.mark.parametrize("var", ["b", "z" * 3000], ids=["b", "3000 letters"])
+def test_simulate_missing_var_entry(var):
     tree, profile, gm = single_loop_setup()
     model = CostModel({0: LoopCost(1.0, 2.0, 0.0)}, {}, 0.0, 0.0)
-    plan = TransferPlan((DataDirective(0, "copyin", ("b",), 0),))
-    with pytest.raises(ModelError):
+    plan = TransferPlan((DataDirective(0, "copyin", (var,), 0),))
+    with pytest.raises(ModelError) as raised:
         simulate_time(model, "1", gm, tree, profile, plan)
+    assert len(str(raised.value)) < 300    # a long name is quoted in part
 
 
 def test_simulate_purity():
