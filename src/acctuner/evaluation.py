@@ -2,17 +2,21 @@
 
 Two evaluators sit behind one interface: a deterministic cost-model
 simulator for desk-scale testing, and an external-command evaluator whose
-one call per trial writes the annotated source, compiles and runs it under
-a wall-clock timeout, and removes it.  Each reports a status and the
-seconds it measured; what a failed trial costs the search is the search's
-own decision (ga.run_ga).
+one call per trial writes the annotated source, compiles and runs it, each
+command under a wall-clock timeout (run_shell), and removes it.  Each
+reports a status and the seconds it measured; what a failed trial costs the
+search is the search's own decision (ga.run_ga).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
+import subprocess
 import tempfile
+import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from string import Formatter
@@ -20,7 +24,6 @@ from string import Formatter
 from .analysis import GenomeMap, Profile
 from .errors import ModelError, SpawnError, _quote, _read_input, _write_output
 from .loops import LoopNode
-from .shell import DEFAULT_TIMEOUT_SECONDS, run_shell
 from .transfer import TransferPlan, regions
 
 MEASURED = "measured"
@@ -128,6 +131,68 @@ def simulate_time(model: CostModel, genome_bits: str, genome_map: GenomeMap,
     return Measurement(total_us / 1e6, MEASURED)
 
 
+# Each command runs in its own session, and when it ends, however it ends,
+# its whole process group is killed, so nothing it started outlives it.  An
+# interrupt reaches only the main thread, so kill_running lets it kill the
+# groups that other threads are waiting on.
+
+DEFAULT_TIMEOUT_SECONDS = 180.0
+
+_running: set[int] = set()      # process groups started and not yet killed
+_running_lock = threading.Lock()
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass    # every process of the group has already exited
+
+
+def kill_running() -> None:
+    """Kill the process group of every command that run_shell is running in
+    this process."""
+    with _running_lock:
+        for pgid in _running:
+            _kill_group(pgid)
+
+
+def run_shell(cmd: str, timeout_seconds: float,
+              cwd: str | Path | None = None) -> tuple[int | None, float]:
+    """Run `cmd` through the shell with its output discarded.
+
+    Returns its exit status, or None when it runs past timeout_seconds,
+    and the seconds from its spawn to its exit.  Raises OSError when the
+    shell cannot be spawned.
+    """
+    start = time.perf_counter()
+    proc = subprocess.Popen(cmd, shell=True, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL, cwd=cwd, start_new_session=True)
+    with _running_lock:
+        _running.add(proc.pid)
+    exited = []
+
+    def reap():
+        proc.wait()
+        exited.append(time.perf_counter())
+
+    # A blocking wait in a thread wakes the moment the shell exits;
+    # Popen.wait(timeout) would poll with sleeps of 1 ms and more.
+    reaper = threading.Thread(target=reap, daemon=True)
+    reaper.start()
+    try:
+        reaper.join(timeout_seconds)
+        timed_out = reaper.is_alive()
+    finally:
+        # the shell leads its own process group; this also kills what it
+        # left in the background, or everything on a timeout or interrupt
+        with _running_lock:
+            _kill_group(proc.pid)
+            _running.discard(proc.pid)
+        reaper.join()
+    return (None if timed_out else proc.returncode), exited[0] - start
+
+
 def _check_template(name: str, template) -> None:
     """Reject at load any field but a bare {src} or {bin}."""
     if not isinstance(template, str) or not template:
@@ -160,11 +225,12 @@ class CommandEvaluatorConfig:
 
 def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
                         run_step: bool = True) -> CommandEvaluatorConfig:
-    """Read compile_cmd, run_cmd (with a run step only) and an optional
-    workdir from the file; the timeout is the caller's."""
+    """Read compile_cmd, run_cmd (ignored without a run step) and an optional
+    workdir from the file, which may hold no other key; the timeout is the
+    caller's."""
     data = _read_input(path, f"command config {path}", SpawnError)
     try:
-        return CommandEvaluatorConfig(
+        config = CommandEvaluatorConfig(
             compile_cmd=data["compile_cmd"],
             run_cmd=data["run_cmd"] if run_step else None,
             timeout_seconds=timeout_seconds,
@@ -174,6 +240,11 @@ def load_command_config(path: str | Path, timeout_seconds: float = DEFAULT_TIMEO
         raise SpawnError(f"cannot load command config {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SpawnError(f"cannot load command config {path}: {exc}") from exc
+    # a misspelled workdir would otherwise run every trial somewhere else
+    unknown = [key for key in data if key not in ("compile_cmd", "run_cmd", "workdir")]
+    if unknown:
+        raise SpawnError(f"cannot load command config {path}: unknown key {_quote(unknown[0])}")
+    return config
 
 
 def command_evaluate(config: CommandEvaluatorConfig, text: str) -> Measurement:
@@ -181,9 +252,10 @@ def command_evaluate(config: CommandEvaluatorConfig, text: str) -> Measurement:
 
     The text goes to a new trial_*.c in the config's workdir (default: the
     system temp directory), removed with its .bin however the trial ends;
-    the templates get the two as {src} and {bin}.  A failed compile or a
-    nonzero run exit yields Invalid; a compile or a run that exceeds the
-    timeout yields Timeout; both carry the seconds the failing step ran.
+    the templates get the two as {src} and {bin}.  The deadline is tested
+    first: a compile or a run that exceeds the timeout yields Timeout,
+    whatever its exit status.  Otherwise a failed compile or a nonzero run
+    exit yields Invalid.  Both carry the seconds the failing step ran.
     Without a run step, a clean compile is measured by its own time.
     Each command's process group is killed when it ends (run_shell).  A
     source that cannot be written or a shell that cannot be spawned raises
@@ -207,12 +279,10 @@ def command_evaluate(config: CommandEvaluatorConfig, text: str) -> Measurement:
                 status, elapsed = run_shell(cmd, config.timeout_seconds, config.workdir)
             except OSError as exc:
                 raise SpawnError(f"cannot spawn {step} command {cmd!r}: {exc}") from exc
-            if status is None:
+            if status is None or elapsed > config.timeout_seconds:
                 return Measurement(elapsed, TIMEOUT)
             if status != 0:
                 return Measurement(elapsed, INVALID)
-            if elapsed > config.timeout_seconds:
-                return Measurement(elapsed, TIMEOUT)
         return Measurement(elapsed, MEASURED)
     finally:
         src.unlink(missing_ok=True)

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 from .analysis import GenomeMap
 from .errors import DomainError, EmptyGenome
-from .evaluation import INVALID, MEASURED, Measurement
+from .evaluation import DEFAULT_TIMEOUT_SECONDS, INVALID, MEASURED, Measurement, kill_running
 from .loops import LoopNode
-from .shell import DEFAULT_TIMEOUT_SECONDS, kill_running
 from .transfer import check_genome_valid
 
 CACHE_HIT = "cachehit"
@@ -59,7 +58,7 @@ class GAConfig:
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         # NaN fails every comparison, so the bounds reject it too; a command's
-        # wait (shell.run_shell) cannot hold a timeout past threading.TIMEOUT_MAX
+        # wait (evaluation.run_shell) cannot hold a timeout past threading.TIMEOUT_MAX
         if not (0 < self.penalty_seconds < math.inf
                 and 0 < self.timeout_seconds <= threading.TIMEOUT_MAX):
             raise ValueError("penalty must be positive and finite, and timeout positive"

@@ -30,6 +30,7 @@ from .emitter import emit_annotated, kernels_only_annotation
 from .errors import (EmptyGenome, ModelError, OutputError, ParseError, _read_input,
                      _write_output)
 from .evaluation import (
+    DEFAULT_TIMEOUT_SECONDS,
     INVALID,
     MEASURED,
     TIMEOUT,
@@ -43,7 +44,6 @@ from .evaluation import (
 from .ga import FITNESS_EXPONENT, GAConfig, run_ga
 from .loops import LoopNode, build_loop_tree, extract_accesses
 from .parser import parse
-from .shell import DEFAULT_TIMEOUT_SECONDS
 from .transfer import TransferPlan, plan_transfers
 
 EXIT_OK = 0

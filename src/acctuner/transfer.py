@@ -149,14 +149,12 @@ def plan_transfers(program: Program, tree: list[LoopNode], accesses: list[VarAcc
                 continue
             needs.append((region, var, clause, _hoist_target(node, var_cpu, blockers)))
 
-    # the lowered (loop, var) pairs; a variable never hoisted costs no walk
-    above: dict[str, set[int]] = {}
-    for region, var, _, target in needs:
-        if target != region:
-            above.setdefault(var, set()).add(target)
-    lowered = {(outer, var) for region, var, _, target in needs if var in above
-               for outer in tree[region].ancestors
-               if outer != target and outer in above[var]}
+    # a (loop, var) is lowered when it is the hoist target of one transfer of
+    # var and contains the region of another with another target
+    hoisted = {(target, var) for region, var, _, target in needs if target != region}
+    crossed = {(outer, var) for region, var, _, target in needs
+               for outer in tree[region].ancestors if outer != target}
+    lowered = hoisted & crossed
 
     # (place, var) -> (origin, clause); the first need merged is the lowest
     merged: dict[tuple[int, str], tuple[int, str]] = {}

@@ -585,7 +585,11 @@ def error_of(capsys) -> dict:
 @pytest.mark.parametrize("config", [None, "{not json", '{"workdir": "."}',
                                     '{"compile_cmd": "true", "workdir": "absent"}',
                                     '{"compile_cmd": "${CC} -c {src}"}',
-                                    '{"compile_cmd": "cp {src"}'])
+                                    '{"compile_cmd": "cp {src"}',
+                                    # a key of neither format, in full or quoted in part
+                                    '{"compile_cmd": "true", "work_dir": "absent"}',
+                                    pytest.param('{"compile_cmd": "true", "' + "k" * 3000 + '": 1}',
+                                                 id="long-key")])
 def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "oracle.json"
     if config is not None:
@@ -596,6 +600,7 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     error = error_of(capsys)
     assert error["type"] == "SpawnError"
     assert error["exit_code"] == EXIT_EVALUATOR_FAILURE
+    assert len(error["message"]) < 300, error["message"]
 
 
 @pytest.mark.parametrize("config", [
@@ -607,6 +612,9 @@ def test_check_bad_oracle_config_is_evaluator_failure(workdir, capsys, config):
     # the message quotes a long template and its bad field, or a long workdir, in part
     {"compile_cmd": "true " + "x" * 3000 + " {" + "y" * 3000 + "}", "run_cmd": "true"},
     {"compile_cmd": "true", "run_cmd": "true", "workdir": "w" * 3000},
+    # a key of neither format, in full or quoted in part
+    {"compile_cmd": "true", "run_cmd": "true", "work_dir": "absent"},
+    {"compile_cmd": "true", "run_cmd": "true", "k" * 3000: 1},
 ])
 def test_tune_bad_cmd_config_is_evaluator_failure(workdir, capsys, config):
     path = workdir / "cmd.json"

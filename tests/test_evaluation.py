@@ -276,6 +276,14 @@ def test_step_that_exits_zero_past_the_timeout_is_timeout(monkeypatch):
     assert (m.status, m.seconds) == ("timeout", 2.5)
 
 
+def test_step_that_exits_nonzero_past_the_timeout_is_timeout(monkeypatch):
+    # the deadline is tested before the exit status: a step killed at its
+    # deadline exits nonzero too, and one that fails just after it is as slow
+    monkeypatch.setattr(evaluation, "run_shell", lambda cmd, timeout, workdir: (1, timeout + 0.5))
+    m = command_evaluate(CommandEvaluatorConfig("true", "true", timeout_seconds=2.0), SOURCE)
+    assert (m.status, m.seconds) == ("timeout", 2.5)
+
+
 def test_trials_of_one_genome_get_distinct_sources(tmp_path):
     program, tree, accesses = analyze(ONE_LOOP)
     log = tmp_path / "log"

@@ -155,6 +155,11 @@ def test_crossover_noop_below_length_two():
     assert one_point_crossover("1", "0", 1.0, random.Random(0)) == ("1", "0")
 
 
+def test_crossover_rejects_parents_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        one_point_crossover("101", "10", 1.0, random.Random(0))
+
+
 def test_crossover_preserves_multiset_per_position():
     rng = random.Random(11)
     p1, p2 = "110010", "001101"
